@@ -37,6 +37,7 @@ substrate, preserving the original create→spawn→run API byte-for-byte.
 from __future__ import annotations
 
 import abc
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Mapping, Optional
@@ -516,3 +517,20 @@ def drive(body: Generator, receive: Any) -> None:
             value = receive(request.mailbox)
         else:
             raise BackendError(f"process body yielded an unsupported request: {request!r}")
+
+
+def freeze_inherited_heap() -> None:
+    """First call of a freshly forked worker: take the collector off the compile path.
+
+    Everything alive at the fork — grammars, plans, the parent's caches and
+    documents — belongs to the parent, and nothing the worker does can make it
+    garbage here.  ``gc.freeze()`` moves it to the permanent generation, so no
+    collection in this process traverses it, or writes to its GC headers and so
+    copies pages the worker would otherwise share with its parent forever.
+    Automatic collection is then switched off: a threshold-triggered pass in the
+    middle of an evaluation costs in proportion to everything the job has built
+    so far, every time.  The worker calls ``gc.collect()`` itself where the heap
+    is smallest — between jobs, or never if it runs one job and exits.
+    """
+    gc.disable()
+    gc.freeze()

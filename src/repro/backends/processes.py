@@ -32,6 +32,7 @@ construction raises :class:`BackendError` — use the threads backend there.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -60,6 +61,7 @@ from repro.backends.base import (
     deadline_get,
     drain_fifo,
     drive,
+    freeze_inherited_heap,
 )
 from repro.backends.threads import QueueMailbox
 from repro.faults import plan as _faults
@@ -238,7 +240,14 @@ def _pool_worker_main(
     plan) arrive at most once and are cached by key for every later job.  A failing or
     aborted job is reported on the control queue and the worker stays alive for the
     next job — one bad compilation never costs the pool a fork.
+
+    The cyclic collector runs only here, between jobs: the inherited heap is frozen,
+    a job runs with automatic collection off, and once its last record is queued and
+    :func:`_run_pooled_job` has returned (taking the job's region tree, evaluator and
+    transport with it) one ``gc.collect()`` frees whatever cycles the job left — so
+    a collection never lands inside an evaluation and an idle pool holds no trees.
     """
+    freeze_inherited_heap()
     shared_cache: Dict[int, Any] = {}
     _faults.load_from_env()
     adopted_fault_token: Optional[str] = os.environ.get(_faults.ENV_VAR)
@@ -246,8 +255,7 @@ def _pool_worker_main(
         item = job_queue.get()
         if item is None:
             return
-        (session_id, name, payload_blob, shared_blobs, receive_timeout,
-         fault_token) = item
+        fault_token = item[-1]
         # The fault plan ships with the job, like a (tiny) language bundle, so a
         # plan installed after this worker forked still reaches it; the token is
         # cached so an unchanged plan is decoded once per worker, and a cleared
@@ -258,28 +266,52 @@ def _pool_worker_main(
                 _faults.ACTIVE = FaultPlan.decode(fault_token) if fault_token else None
             except Exception:
                 _faults.ACTIVE = None
-        # The abort event is cleared by the PARENT (under its lock) when this job is
-        # assigned and when job-completion records are processed; clearing it here
-        # could erase an abort meant for this very job.
-        try:
-            for key, blob in shared_blobs.items():
-                shared_cache[key] = pickle.loads(blob)
-            factory, encoded_kwargs, shared_keys = pickle.loads(payload_blob)
-            kwargs = _decode_wire(encoded_kwargs, registry)
-            for argument, key in shared_keys.items():
-                kwargs[argument] = shared_cache[key]
-            transport = _ChildTransport(
-                control, session_id, name, abort_event, receive_timeout
-            )
-            body = factory(transport, **kwargs)
-            drive(body, transport.receive)
-            control.put(
-                ("done", session_id, worker_index, name, transport.messages, transport.bytes)
-            )
-        except _JobAborted:
-            control.put(("aborted", session_id, worker_index, name))
-        except BaseException:  # noqa: BLE001 — shipped to the parent; worker survives
-            control.put(("error", session_id, worker_index, name, traceback.format_exc()))
+        _run_pooled_job(worker_index, control, registry, abort_event, shared_cache, item)
+        del item
+        # The job's report and final record are queued, but it is the control
+        # queue's feeder thread that pickles and writes them, and ``gc.collect()``
+        # holds the GIL from start to finish: yield it once first, or the parent
+        # waits out the collection before it sees the job end.
+        time.sleep(0)
+        gc.collect()
+
+
+def _run_pooled_job(
+    worker_index: int,
+    control: Any,
+    registry: List[Any],
+    abort_event: Any,
+    shared_cache: Dict[int, Any],
+    item: Tuple,
+) -> None:
+    """Run one job spec to its final control record (done, aborted or error).
+
+    A function of its own so that every exit releases the job's locals before the
+    worker's between-jobs collection.
+    """
+    session_id, name, payload_blob, shared_blobs, receive_timeout, _ = item
+    # The abort event is cleared by the PARENT (under its lock) when this job is
+    # assigned and when job-completion records are processed; clearing it here
+    # could erase an abort meant for this very job.
+    try:
+        for key, blob in shared_blobs.items():
+            shared_cache[key] = pickle.loads(blob)
+        factory, encoded_kwargs, shared_keys = pickle.loads(payload_blob)
+        kwargs = _decode_wire(encoded_kwargs, registry)
+        for argument, key in shared_keys.items():
+            kwargs[argument] = shared_cache[key]
+        transport = _ChildTransport(
+            control, session_id, name, abort_event, receive_timeout
+        )
+        body = factory(transport, **kwargs)
+        drive(body, transport.receive)
+        control.put(
+            ("done", session_id, worker_index, name, transport.messages, transport.bytes)
+        )
+    except _JobAborted:
+        control.put(("aborted", session_id, worker_index, name))
+    except BaseException:  # noqa: BLE001 — shipped to the parent; worker survives
+        control.put(("error", session_id, worker_index, name, traceback.format_exc()))
 
 
 # --------------------------------------------------------------------- parent side
@@ -1312,6 +1344,7 @@ class ProcessesBackend(Backend):
         """Entry point of a forked worker process."""
         self._in_child = True
         self._start = time.perf_counter()
+        freeze_inherited_heap()  # one job, then exit: this worker never collects
         try:
             drive(body, lambda mailbox: self._child_receive(mailbox, name))
             self._control.put(("net", self._messages, self._bytes))

@@ -20,6 +20,16 @@ simulated times) to an unrecorded one.
 Signatures are SHA-256 over the pickled wire value.  Wire values are picklable by
 protocol contract, and the one structurally unstable value type — :class:`Rope` —
 pickles canonically as its flattened text, so equal texts always sign equal.
+
+A recorded fragment is kept in that same canonical form: one leaf of flattened
+text.  The concat tree is a sender-side structure with one garbage-collector-tracked
+node per emitted piece of code; a recording outlives its compile inside the
+:class:`~repro.incremental.cache.ArtifactCache`, and a cache holding trees makes
+every full collection of the serving process walk them.  The ``processes`` and
+``sockets`` substrates and the store already deliver a recording in this form
+(it crossed a pickle); flattening at record time makes ``threads`` and
+``simulated`` hold the same thing.  ``size`` is recorded beside the text, so
+replayed messages, simulated times and signatures do not depend on the shape.
 """
 
 from __future__ import annotations
@@ -28,6 +38,8 @@ import hashlib
 import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
+
+from repro.strings.rope import Rope
 
 #: Key of one boundary attribute transfer: (peer region id, direction, attribute name).
 #: ``direction`` is the message's own: "down" for inherited values arriving from the
@@ -51,7 +63,8 @@ class RegionRecording:
     ``sends`` preserves send order and carries two record shapes:
 
     * ``("attr", target_region, direction, name, wire_value, size, priority)``
-    * ``("fragment", fragment_id, text, size)`` — a librarian code fragment.
+    * ``("fragment", fragment_id, text, size)`` — a librarian code fragment;
+      ``text`` is a single-leaf :class:`Rope` whatever tree the evaluator built.
 
     The root region's final ``ResultMessage``/``AssembleRequest`` traffic is *not*
     recorded: the root region re-evaluates on every incremental run (every dirty
@@ -78,7 +91,9 @@ class RegionRecording:
         self.sends.append(("attr", target_region, direction, name, wire_value, size, priority))
         self.output_sigs[(target_region, direction, name)] = value_signature(wire_value)
 
-    def record_fragment_send(self, fragment_id: int, text: Any, size: int) -> None:
+    def record_fragment_send(self, fragment_id: int, text: Rope, size: int) -> None:
+        if not text.is_leaf:
+            text = Rope.leaf(text.flatten())
         self.sends.append(("fragment", fragment_id, text, size))
 
 

@@ -9,7 +9,10 @@ so the cache is shared freely across documents, services and successive builds â
 hits are decided by content, not by session identity.
 
 The cache is a thread-safe LRU: the service layer compiles jobs concurrently, and
-an editing session only ever needs the last few builds' artifacts.
+an editing session only ever needs the last few builds' artifacts.  What it retains
+is what every full garbage collection of the process must walk, so an artifact is
+kept small in *objects*, not just bytes: recorded code fragments are single-leaf
+ropes (:mod:`repro.distributed.recording`), the form the store round-trips to.
 
 With a ``store`` (:class:`repro.store.ArtifactStore`, or a path), the in-memory
 LRU gains a persistent second tier:

@@ -34,6 +34,7 @@ service and substrate shut down and the process exits 0.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import signal
 import threading
@@ -699,6 +700,21 @@ class CompileServer:
                     "requests_served": self.requests_served,
                     "active_requests": self._active_requests,
                     "uptime_seconds": round(time.monotonic() - self._started_at, 3),
+                    # What this process retains, and what the cyclic collector
+                    # has spent walking it: a cache that fills with GC-tracked
+                    # objects shows here as full collections per request.
+                    "artifact_cache": {
+                        "entries": len(self.cache),
+                        "max_entries": self.cache.max_entries,
+                        "hits": self.cache.hits,
+                        "misses": self.cache.misses,
+                    },
+                    "gc": {
+                        "collections": [
+                            generation["collections"] for generation in gc.get_stats()
+                        ],
+                        "frozen": gc.get_freeze_count(),
+                    },
                 },
             },
             {},

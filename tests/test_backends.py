@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import pickle
 import queue as queue_module
 
 import pytest
 
-from repro.backends import BACKEND_NAMES, BackendError, create_backend
-from repro.backends.base import Compute, Receive
+from repro.backends import BACKEND_NAMES, BackendError, ProcessesSubstrate, create_backend
+from repro.backends.base import Compute, Receive, WorkerJob
 from repro.distributed.compiler import CompilerConfiguration, ParallelCompiler
 from repro.distributed.protocol import (
     PROTOCOL_MESSAGES,
@@ -354,7 +355,36 @@ class TestProtocolPickling:
         fifo.join_thread()
 
 
+def _tree_census_probe(transport):
+    """A WorkerJob factory counting the parse-tree nodes its worker's collector
+    still has to walk — neither frozen nor freed (module-level: must pickle)."""
+
+    def body():
+        nodes = sum(type(obj).__name__ == "ParseTreeNode" for obj in gc.get_objects())
+        transport.publish_report(0, nodes)
+        return
+        yield Compute(0.0)  # pragma: no cover — makes this a generator
+
+    return body()
+
+
 class TestBackendRobustness:
+    @requires_fork
+    def test_idle_pooled_worker_holds_no_region_tree(self, split_grammar, big_expression):
+        with ProcessesSubstrate(receive_timeout=10) as pool:
+            report = ParallelCompiler(split_grammar).compile_tree(
+                big_expression, 1, substrate=pool
+            )
+            assert report.root_attributes["value"] is not None
+            assert pool.pool_size == 1  # the probe lands on the worker that evaluated
+            session = pool.session(1)
+            try:
+                session.spawn(WorkerJob(factory=_tree_census_probe), name="probe")
+                session.run()
+                assert session.reports[0] == 0
+            finally:
+                session.close()
+
     def test_blocked_receive_wakes_promptly_on_failure(self):
         """A sleeping receiver is woken by the failure token, not by its timeout."""
         import time as time_module
@@ -376,6 +406,24 @@ class TestBackendRobustness:
             backend.run()
         # Well under the 30s receive timeout: the wake token did its job.
         assert time_module.monotonic() - started < 5
+
+    @requires_fork
+    def test_one_shot_forked_worker_freezes_its_heap_and_never_collects(self):
+        backend = create_backend("processes", machines=1, receive_timeout=10)
+
+        def probe_body():
+            backend.publish_report(0, (gc.get_freeze_count(), gc.isenabled()))
+            return
+            yield Compute(0.0)  # pragma: no cover — makes this a generator
+
+        backend.spawn(probe_body(), name="probe")
+        try:
+            backend.run()
+            frozen, enabled = backend.reports[0]
+        finally:
+            backend.close()
+        assert frozen > 0 and enabled is False
+        assert gc.isenabled() and gc.get_freeze_count() == 0  # the parent is untouched
 
     def test_drain_fifo_empties_and_settles(self):
         import queue as plain_queue

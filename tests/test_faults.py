@@ -10,6 +10,7 @@ autouse conftest fixture checks segment leaks after every cell).
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -20,6 +21,7 @@ import pytest
 
 from repro import faults
 from repro.backends import BackendError, ProcessesSubstrate, create_substrate
+from repro.backends.base import WorkerJob
 from repro.distributed.compiler import ParallelCompiler
 from repro.exprlang.evaluator import random_expression_source
 from repro.exprlang.frontend import parse_expression
@@ -305,8 +307,52 @@ class TestChaosMatrix:
 # ------------------------------------------------------- targeted: crash-proofing
 
 
+def _collector_probe(transport, marker=None):
+    """A WorkerJob factory reporting its worker's collector state (must pickle).
+
+    With a ``marker`` path the first worker to run the job SIGKILLs itself, so the
+    report that comes back was made by the replacement forked to replay it.
+    """
+
+    def body():
+        if marker is not None and not os.path.exists(marker):
+            open(marker, "w").close()
+            os.kill(os.getpid(), signal.SIGKILL)
+        transport.publish_report(
+            0, (os.getpid(), gc.get_freeze_count(), gc.isenabled())
+        )
+        return
+        yield  # pragma: no cover — makes this a generator
+
+    return body()
+
+
 @requires_fork
 class TestProcessesCrashRecovery:
+    def test_pooled_and_replacement_workers_keep_the_collector_off_the_job(
+        self, tmp_path
+    ):
+        def probe(pool, **kwargs):
+            session = pool.session(1)
+            try:
+                session.spawn(
+                    WorkerJob(factory=_collector_probe, kwargs=kwargs), name="probe"
+                )
+                session.run()
+                return session.reports[0]
+            finally:
+                session.close()
+
+        with ProcessesSubstrate(receive_timeout=TIMEOUT) as pool:
+            pid, frozen, enabled = probe(pool)
+            assert frozen > 0 and enabled is False
+            # Same worker, next job: the between-jobs collection left both as is.
+            again_pid, frozen, enabled = probe(pool)
+            assert again_pid == pid and frozen > 0 and enabled is False
+            new_pid, frozen, enabled = probe(pool, marker=str(tmp_path / "killed"))
+            assert pool.respawns == 1 and new_pid != pid
+            assert frozen > 0 and enabled is False
+
     def test_injected_crash_is_respawned_and_result_identical(
         self, split_grammar, chaos_tree, expected_value
     ):

@@ -331,6 +331,116 @@ class TestParityMatrix:
         assert warm.report.statistics == reference.report.statistics
 
 
+# --------------------------------------------------------- canonical recordings
+
+
+@requires_fork
+class TestCanonicalRecordings:
+    """What the cache retains is the pickled form of a recording on every substrate.
+
+    ``processes`` hands the driver recordings that crossed a pickle, so their code
+    fragments are single-leaf ropes; ``threads`` and ``simulated`` record in the
+    driving process and must store the same thing, not the evaluator's concat tree.
+    """
+
+    SUBSTRATES = ("simulated", "threads", "processes")
+
+    @staticmethod
+    def _build(backend, source, match):
+        """Every artifact put by a cold build, then by an edit rebuild, on ``backend``."""
+        with Session(backend=backend, machines=MACHINES) as session:
+            cache = session.artifact_cache
+            puts = []
+            put = cache.put
+
+            def recording_put(artifact):
+                puts.append(artifact)
+                put(artifact)
+
+            cache.put = recording_put
+            document = session.open("pascal", source, machines=MACHINES)
+            document.recompile()
+            cold_puts = list(puts)
+            document.edit(match.start(1), match.end(1), "7")
+            warm = document.recompile()
+        return cold_puts, puts, warm
+
+    @pytest.fixture(scope="class")
+    def builds(self, source, edited_source):
+        _, match = edited_source
+        return {
+            backend: self._build(backend, source, match) for backend in self.SUBSTRATES
+        }
+
+    @staticmethod
+    def _shape(artifact):
+        """A recording as plain data: texts and sizes, no rope structure, no values."""
+        recording = artifact.recording
+        sends = []
+        for send in recording.sends:
+            if send[0] == "fragment":
+                _, fragment_id, text, size = send
+                sends.append(("fragment", fragment_id, text.flatten(), size))
+            else:
+                _, target, direction, name, _value, size, priority = send
+                sends.append(("attr", target, direction, name, size, priority))
+        return (
+            recording.region_id,
+            sends,
+            sorted(recording.input_sigs),
+            sorted(recording.output_sigs),
+        )
+
+    @staticmethod
+    def _signatures(artifact):
+        recording = artifact.recording
+        return recording.region_id, recording.input_sigs, recording.output_sigs
+
+    @pytest.mark.parametrize("backend", SUBSTRATES)
+    def test_cached_fragments_are_single_leaf_ropes(self, backend, builds):
+        _, puts, _ = builds[backend]
+        fragments = [
+            send
+            for artifact in puts
+            for send in artifact.recording.sends
+            if send[0] == "fragment"
+        ]
+        assert fragments
+        assert all(text.leaf_count == 1 for _, _, text, _ in fragments)
+        # Not trivially: the evaluators built real concat trees, which the
+        # recorded size (text + 4 bytes per leaf) still reflects.
+        assert any(size > len(text) + 4 for _, _, text, size in fragments)
+
+    def test_recordings_equal_across_substrates(self, builds):
+        def per_region(view):
+            return {
+                backend: sorted(map(view, cold_puts), key=lambda item: item[0])
+                for backend, (cold_puts, _, _) in builds.items()
+            }
+
+        shapes = per_region(self._shape)
+        assert len(shapes["simulated"]) > 1  # every non-root region
+        assert shapes["threads"] == shapes["simulated"]
+        assert shapes["processes"] == shapes["simulated"]
+        # Signatures hash the pickled value, and a pickle encodes which equal
+        # sub-objects are *the same* object: values computed in one process sign
+        # alike, values rebuilt from several messages in a forked worker need not
+        # (a spurious mismatch costs a re-evaluation, never a result).
+        signatures = per_region(self._signatures)
+        assert signatures["threads"] == signatures["simulated"]
+
+    @pytest.mark.parametrize("backend", SUBSTRATES)
+    def test_replay_from_canonical_artifacts_equals_cold_compile(
+        self, backend, builds, edited_source
+    ):
+        edited, _ = edited_source
+        _, _, warm = builds[backend]
+        reference = Compiler("pascal", machines=MACHINES, backend=backend).compile(edited)
+        assert warm.incremental.regions_reused > 0
+        assert warm.value == reference.value
+        assert warm.errors == reference.errors
+
+
 # ------------------------------------------------------------ dirty scheduling
 
 

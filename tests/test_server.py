@@ -9,6 +9,7 @@ it with stdlib ``http.client``, exactly as an external client would.
 from __future__ import annotations
 
 import asyncio
+import gc
 import http.client
 import json
 import re
@@ -888,4 +889,85 @@ class TestStatsEndpoint:
         assert service["jobs_completed"] == 1
         assert stats["server"]["requests_served"] >= 2
         assert stats["admission"]["admitted"] == 1
+        # What the process retains and what the collector has done about it.
+        cache = stats["server"]["artifact_cache"]
+        assert cache["max_entries"] == handle.server.cache.max_entries
+        assert cache["entries"] == len(handle.server.cache)
+        assert (cache["hits"], cache["misses"]) == (
+            handle.server.cache.hits, handle.server.cache.misses
+        )
+        collector = stats["server"]["gc"]
+        assert len(collector["collections"]) == len(gc.get_stats())
+        assert all(isinstance(count, int) for count in collector["collections"])
+        assert collector["frozen"] == gc.get_freeze_count()
         client.close()
+
+
+class TestRetention:
+    """A server that has served N scripts must not make the collector walk N trees."""
+
+    WARMUP, SCRIPTS = 2, 20
+
+    def _script(self, client, source, edited, span):
+        """open → recompile → edit → recompile → close → one-shot; the three values."""
+        status, body, _ = client.json(
+            "POST", "/documents",
+            {"language": "pascal", "source": source, "machines": 4},
+        )
+        assert status == 201
+        sid = body["document"]
+        status, cold, _ = client.json("POST", f"/documents/{sid}/recompile")
+        assert status == 200 and cold["ok"]
+        status, _, _ = client.json(
+            "POST", f"/documents/{sid}/edit", {"edits": [[span[0], span[1], "7"]]}
+        )
+        assert status == 200
+        status, warm, _ = client.json("POST", f"/documents/{sid}/recompile")
+        assert status == 200 and warm["ok"]
+        assert warm["incremental"]["regions_reused"] >= 1
+        status, _, _ = client.json("DELETE", f"/documents/{sid}")
+        assert status == 200
+        status, oneshot, _ = client.json(
+            "POST", "/compile",
+            {"language": "pascal", "source": edited, "machines": 4},
+        )
+        assert status == 200 and oneshot["ok"]
+        return cold["value"], warm["value"], oneshot["value"]
+
+    def test_tracked_objects_per_cache_entry_stay_small(self, server_factory):
+        from repro import Compiler
+        from repro.pascal.programs import generate_program
+
+        compiler = Compiler("pascal", machines=4, backend="threads")
+        scripts = []
+        for seed in range(self.WARMUP + self.SCRIPTS):
+            source = generate_program(
+                procedures=12, nested_procedures=2, statements_per_procedure=4,
+                main_statements=8, seed=100 + seed,
+            )
+            match = list(re.finditer(r":= (\d)[;\n]", source))[-1]
+            edited = source[: match.start(1)] + "7" + source[match.end(1) :]
+            expected = (compiler.compile(source).value, compiler.compile(edited).value)
+            scripts.append((source, edited, match.span(1), expected))
+        handle = server_factory(quota_rate=10_000.0, quota_burst=10_000.0)
+        client = _Client(handle)
+
+        def drive(batch):
+            for source, edited, span, (cold_value, edited_value) in batch:
+                values = self._script(client, source, edited, span)
+                assert values == (cold_value, edited_value, edited_value)
+
+        def census():
+            gc.collect()
+            entries = client.json("GET", "/stats")[1]["server"]["artifact_cache"]["entries"]
+            return len(gc.get_objects()), entries
+
+        drive(scripts[: self.WARMUP])  # lazy imports, pools, first-use tables
+        objects_before, entries_before = census()
+        drive(scripts[self.WARMUP :])
+        objects_after, entries_after = census()
+        client.close()
+
+        retained = entries_after - entries_before
+        assert retained >= self.SCRIPTS  # every script left artifacts behind
+        assert (objects_after - objects_before) / retained < 200
