@@ -221,6 +221,10 @@ class ThreadsSubstrate(Substrate):
                 with self._lock:
                     self._busy -= 1
                 session._body_finished()
+                # An idle pool thread must not pin its last job — the region tree
+                # and evaluator state inside ``body``, the session's mailboxes —
+                # while it blocks in ``get()``, whether the body finished or failed.
+                del item, session, body
 
 
 class ThreadsSession(Backend):

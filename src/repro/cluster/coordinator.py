@@ -322,6 +322,12 @@ class ClusterCoordinator:
             conn.enqueue(("shutdown",))
             conn.enqueue(None)
         if server is not None:
+            # close() alone leaves a thread blocked in accept() asleep on Linux;
+            # shutting the listening socket down first makes accept() return.
+            try:
+                server.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 server.close()
             except OSError:
@@ -635,15 +641,18 @@ class ClusterCoordinator:
             if self._stopped:
                 sock.close()
                 return
+            # The writer runs before the connection is visible: shutdown() joins
+            # the writer of every connection it finds in ``_conns``, and a thread
+            # that has not been started cannot be joined.
+            conn.writer = threading.Thread(
+                target=self._writer_loop, args=(conn,),
+                name=f"repro-cluster-writer-{info.worker_id}", daemon=True,
+            )
+            conn.writer.start()
             self._conns[info.worker_id] = conn
             self._ring.add(str(info.worker_id))
             waiting = list(self._awaiting_worker)
             self._awaiting_worker = []
-        conn.writer = threading.Thread(
-            target=self._writer_loop, args=(conn,),
-            name=f"repro-cluster-writer-{info.worker_id}", daemon=True,
-        )
-        conn.writer.start()
         try:
             wire.send_message(conn.wfile, wire.welcome(info.worker_id, self.heartbeat_interval))
         except (wire.ProtocolError, OSError) as error:

@@ -314,9 +314,7 @@ class ParallelCompiler:
         """
         config = self.configuration
         wall_started = time.perf_counter()
-        # Only the node count feeds the modelled parse cost; the full per-symbol
-        # statistics walk is an order of magnitude more expensive and not needed here.
-        tree_nodes = tree.subtree_size()
+        tree_nodes = tree.node_count
         parse_time = config.cost_model.parse_cost(tree_nodes)
 
         if decomposition is None:

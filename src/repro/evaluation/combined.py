@@ -119,22 +119,42 @@ class CombinedScheduler(Scheduler):
         self._spine_ids: Set[int] = set()
         self._static_root_ids: Set[int] = set()
 
-        self._compute_spine()
-        self._build(root_inherited)
+        self._build(self._compute_spine(), root_inherited)
 
     # ----------------------------------------------------------------- geometry
 
-    def _compute_spine(self) -> None:
+    def _compute_spine(self) -> List[ParseTreeNode]:
         """The spine is every node on a path from the root to a hole (inclusive of the
-        root, exclusive of the holes themselves)."""
-        self._spine_ids = {self.root.node_id}
-        for hole in self._holes:
-            node = hole.parent
-            while node is not None:
-                self._spine_ids.add(node.node_id)
-                if node is self.root:
+        root, exclusive of the holes themselves); returns it in pre-order.
+
+        Nodes have no parent pointer, so the paths come from one descent that carries
+        its own: whenever it meets a hole, the part of the current path not yet on the
+        spine joins it.  A node can only join after everything the descent entered
+        before it (a node below it would have taken it along), so the list comes out
+        in pre-order.  The descent stops as soon as every hole has been found.
+        """
+        hole_ids = self._hole_ids
+        remaining = len(hole_ids)
+        path = [self.root]
+        spine = [self.root]
+        marked = 1  # leading nodes of ``path`` already on the spine
+        pending = [iter(self.root.children)]
+        while path and remaining:
+            for child in pending[-1]:
+                if child.node_id in hole_ids:
+                    remaining -= 1
+                    spine.extend(path[marked:])
+                    marked = len(path)
+                elif child.children:
+                    path.append(child)
+                    pending.append(iter(child.children))
                     break
-                node = node.parent
+            else:
+                path.pop()
+                pending.pop()
+                marked = min(marked, len(path))
+        self._spine_ids = {node.node_id for node in spine}
+        return spine
 
     def is_spine(self, node: ParseTreeNode) -> bool:
         return node.node_id in self._spine_ids
@@ -173,11 +193,9 @@ class CombinedScheduler(Scheduler):
         self._tasks[task_id].pending += 1
         self._stats.dependency_edges += 1
 
-    def _build(self, root_inherited: Optional[Dict[str, Any]]) -> None:
-        spine_nodes = [
-            node for node in self.root.walk() if node.node_id in self._spine_ids
-        ]
-
+    def _build(
+        self, spine_nodes: List[ParseTreeNode], root_inherited: Optional[Dict[str, Any]]
+    ) -> None:
         # 1. Declare the dynamically tracked instances: all attributes of spine nodes,
         #    holes, and of the non-spine nonterminal children of spine nodes.
         for node in spine_nodes:
@@ -445,17 +463,9 @@ class CombinedScheduler(Scheduler):
         """Aggregate statistics; static/dynamic instance counts cover the whole region."""
         stats = EvaluationStatistics()
         stats.merge(self._stats)
-        total = 0
-        for node in self.root.walk():
-            if node.is_terminal:
-                continue
-            symbol = node.symbol
-            assert isinstance(symbol, Nonterminal)
-            if self.is_hole(node):
-                total += len(symbol.inherited)
-                continue
-            total += len(symbol.attributes)
-        stats.static_instances = max(0, total - stats.dynamic_instances)
+        stats.static_instances = max(
+            0, self.root.attribute_instances - stats.dynamic_instances
+        )
         return stats
 
     def value_of(self, node: ParseTreeNode, name: str) -> Any:

@@ -144,10 +144,14 @@ class DynamicScheduler(Scheduler):
         root = self.root
         edges = 0
 
-        nodes = [node for node in root.walk() if not node.is_terminal]
+        # Inherited attributes are defined by the parent's production, so each
+        # nonterminal is kept with the parent and position the walk reached it from.
+        nodes = [
+            entry for entry in root.walk_with_parent() if not entry[0].symbol.is_terminal
+        ]
 
         # Pass 1: create instance records for every attribute of every nonterminal node.
-        for node in nodes:
+        for node, _parent, _index in nodes:
             node_id = node.node_id
             for name, _synthesized, priority in nonterminal_tables[node.symbol.name].attrs:
                 instances[(node_id, name)] = _InstanceInfo(node, name, priority)
@@ -155,7 +159,7 @@ class DynamicScheduler(Scheduler):
         self._stats.dependency_vertices = len(instances)
 
         # Pass 2: attach defining rules / mark externals, and record dependency edges.
-        for node in nodes:
+        for node, parent, index in nodes:
             node_id = node.node_id
             is_hole = self._is_hole(node)
             for name, synthesized, _priority in nonterminal_tables[node.symbol.name].attrs:
@@ -171,9 +175,8 @@ class DynamicScheduler(Scheduler):
                     if node is root:
                         info.external = True
                         continue
-                    defining_node = node.parent
-                    assert defining_node is not None and node.child_index is not None
-                    target = (node.child_index, name)
+                    defining_node = parent
+                    target = (index, name)
                 assert defining_node.production is not None
                 table = production_tables[defining_node.production.index].by_target.get(target)
                 if table is None:
@@ -214,7 +217,7 @@ class DynamicScheduler(Scheduler):
         self._stats.dependency_vertices = len(self._instances)
 
         # Pass 2: attach defining rules / mark externals, and record dependency edges.
-        for node in self.root.walk():
+        for node, parent, index in self.root.walk_with_parent():
             if node.is_terminal:
                 continue
             symbol = node.symbol
@@ -237,9 +240,8 @@ class DynamicScheduler(Scheduler):
                             continue
                         info.external = True
                         continue
-                    defining_node = node.parent
-                    assert defining_node is not None and node.child_index is not None
-                    target_ref = AttributeRef(node.child_index, decl.name)
+                    defining_node = parent
+                    target_ref = AttributeRef(index, decl.name)
                 assert defining_node.production is not None
                 rule = defining_node.production.rule_defining(target_ref)
                 if rule is None:

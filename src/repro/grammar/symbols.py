@@ -69,9 +69,9 @@ class Terminal(Symbol):
         super().__init__(name)
         self.value_attribute = value_attribute
 
-    @property
-    def is_terminal(self) -> bool:
-        return True
+    # A plain class attribute, not a property: every parse-tree node construction
+    # and most tree traversals read it.
+    is_terminal = True
 
     @property
     def attribute_names(self) -> Tuple[str, ...]:
@@ -107,9 +107,7 @@ class Nonterminal(Symbol):
         self.splittable = splittable
         self.min_split_size = min_split_size
 
-    @property
-    def is_terminal(self) -> bool:
-        return False
+    is_terminal = False
 
     def declare(self, decl: AttributeDecl) -> AttributeDecl:
         """Add an attribute declaration, rejecting duplicates."""

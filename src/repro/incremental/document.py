@@ -38,7 +38,6 @@ from repro.incremental.engine import IncrementalCompiler
 from repro.incremental.fingerprint import FingerprintMemo
 from repro.incremental.frontend import (
     EditEnvelope,
-    count_tokens,
     incremental_reparse,
     incremental_scan,
 )
@@ -102,7 +101,6 @@ class Document:
         self._tokens = None
         self._spans = None
         self._tree: Optional[ParseTreeNode] = None
-        self._counts: Dict[int, int] = {}
         self._built_text: Optional[str] = None
         self.last_result = None
 
@@ -193,8 +191,6 @@ class Document:
         if self._tree is None or self._built_text is None:
             tokens, spans, _ = lexer.scan(text)
             tree = parser.parse(tokens)
-            self._counts = {}
-            count_tokens(tree, self._counts)
             self._commit_front_end(text, tokens, spans, tree)
             return tree, "cold"
 
@@ -206,7 +202,6 @@ class Document:
                 self._engine.grammar,
                 parser,
                 self._tree,
-                self._counts,
                 tokens,
                 first_changed,
                 old_resync,
@@ -218,8 +213,6 @@ class Document:
             tokens, spans, _ = lexer.scan(text)
             tree = parser.parse(tokens)
             mode = "full"
-            self._counts = {}
-            count_tokens(tree, self._counts)
         self._commit_front_end(text, tokens, spans, tree)
         return tree, mode
 
@@ -229,12 +222,6 @@ class Document:
         self._spans = spans
         self._tree = tree
         self._envelope.reset()
-        # Splices only add count entries (node ids are never reused), so a long
-        # editing session accumulates entries for dead subtrees; rebuild from the
-        # live tree once the dict clearly outgrows it (amortised O(1) per edit).
-        if tokens is not None and len(self._counts) > 8 * max(64, len(tokens)):
-            self._counts = {}
-            count_tokens(tree, self._counts)
 
     def __repr__(self) -> str:
         state = "built" if self._tree is not None else "new"

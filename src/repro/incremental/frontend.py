@@ -214,32 +214,10 @@ def subtree_table(grammar: AttributeGrammar, symbol: str) -> LALRTable:
     return table
 
 
-def count_tokens(root: ParseTreeNode, counts: Dict[int, int]) -> None:
-    """Fill ``counts`` with the terminal-leaf count of every subtree under ``root``.
-
-    Every shifted token becomes exactly one terminal node, so a node's leaf count
-    is its token-span length.
-    """
-    post_order: List[ParseTreeNode] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        post_order.append(node)
-        stack.extend(node.children)
-    for node in reversed(post_order):
-        if node.is_terminal:
-            counts[node.node_id] = 1
-        else:
-            counts[node.node_id] = sum(
-                counts[child.node_id] for child in node.children
-            )
-
-
 def incremental_reparse(
     grammar: AttributeGrammar,
     parser: Parser,
     old_tree: ParseTreeNode,
-    counts: Dict[int, int],
     new_tokens: List[Token],
     first_changed: int,
     old_resync: int,
@@ -250,8 +228,9 @@ def incremental_reparse(
     ``mode`` is ``"reuse"`` (token stream unchanged — the old tree *is* the new
     tree), ``"splice"`` (an enclosing subtree was re-parsed in isolation and
     spliced in, sharing every untouched sibling by reference) or ``"full"``
-    (fallback whole-stream parse).  ``counts`` is updated in place for every node
-    of a spliced tree.
+    (fallback whole-stream parse).  A node's token span is its ``token_count``
+    summary (every shifted token becomes exactly one terminal leaf), so the old tree
+    is never modified: the rebuilt spine shares its untouched subtrees.
     """
     if first_changed == old_resync and first_changed == new_resync:
         return old_tree, "reuse"
@@ -266,7 +245,7 @@ def incremental_reparse(
         descended = False
         child_start = start
         for child in node.children:
-            child_count = counts[child.node_id]
+            child_count = child.token_count
             if (
                 child_start <= first_changed
                 and old_resync <= child_start + child_count
@@ -281,14 +260,13 @@ def incremental_reparse(
 
     for depth in range(len(path) - 1, 0, -1):  # smallest candidate first; 0 = root
         candidate, span_start = path[depth]
-        span_end = span_start + counts[candidate.node_id]
+        span_end = span_start + candidate.token_count
         slice_tokens = new_tokens[span_start : span_end + token_delta]
         try:
             table = subtree_table(grammar, candidate.symbol.name)
             subtree = Parser(grammar, table).parse(slice_tokens)
         except (ParseError, ValueError):
             continue  # climb to the enclosing candidate
-        count_tokens(subtree, counts)
         # Rebuild the spine from the candidate's parent up to the root; untouched
         # siblings are the original node objects, reused by reference.
         fresh = subtree
@@ -298,10 +276,7 @@ def incremental_reparse(
                 fresh if child is replaced else child for child in ancestor.children
             ]
             fresh = make_node(ancestor.production, children)
-            counts[fresh.node_id] = sum(counts[child.node_id] for child in children)
             replaced = ancestor
         return fresh, "splice"
 
-    tree = parser.parse(new_tokens)
-    count_tokens(tree, counts)
-    return tree, "full"
+    return parser.parse(new_tokens), "full"

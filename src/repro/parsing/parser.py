@@ -72,10 +72,10 @@ class Parser:
             if entry.kind == "reduce":
                 production = self.grammar.productions[entry.target]
                 arity = len(production.rhs)
-                children = node_stack[len(node_stack) - arity :] if arity else []
+                children = node_stack[len(node_stack) - arity :] if arity else ()
                 del node_stack[len(node_stack) - arity :]
                 del state_stack[len(state_stack) - arity :]
-                node = make_node(production, list(children))
+                node = make_node(production, children)
                 node_stack.append(node)
                 goto_state = goto_table[state_stack[-1]].get(production.lhs.name)
                 if goto_state is None:

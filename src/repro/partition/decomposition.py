@@ -11,10 +11,9 @@ the paper ("Source Program Decomposition") is regenerated directly from the resu
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Tuple
 
-from repro.grammar.symbols import Nonterminal
-from repro.tree.node import ParseTreeNode, node_wire_size
+from repro.tree.node import ParseTreeNode
 
 
 @dataclass
@@ -121,96 +120,79 @@ def plan_decomposition(
     if machines < 1:
         raise ValueError("machines must be >= 1")
 
-    # One bottom-up pass computes every node's linearized size (own header plus the
-    # children's totals); calling ``node.linearized_size()`` per candidate would walk
-    # each subtree again and make planning quadratic in the tree size.
-    post_order: List[ParseTreeNode] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        post_order.append(node)
-        stack.extend(node.children)
-    post_order.reverse()
-    subtree_size: Dict[int, int] = {}
-    subtree_nodes: Dict[int, int] = {}
-    for node in post_order:
-        total = node_wire_size(node)
-        count = 1
-        for child in node.children:
-            total += subtree_size[child.node_id]
-            count += subtree_nodes[child.node_id]
-        subtree_size[node.node_id] = total
-        subtree_nodes[node.node_id] = count
-
-    total_size = subtree_size[root.node_id]
+    total_size = root.wire_size
     if min_size is not None:
         threshold = int(min_size)
     else:
         threshold = max(1, int(total_size / machines * scale))
 
-    split_nodes: List[ParseTreeNode] = []
+    # Candidates are considered bottom-up (post-order), so nested splittable subtrees
+    # come before their ancestors, mirroring the parser's behaviour of shipping the
+    # deepest oversized subtrees first.  A candidate's effective size — its
+    # linearized size minus what was already detached below it — must reach the
+    # threshold, and it never exceeds the node's ``wire_size``, so the descent skips
+    # every subtree whose ``wire_size`` is under the threshold: nothing in it can
+    # be chosen.  Each frame is [node, next child index, bytes detached below,
+    # chosen descendants still waiting for a chosen ancestor, pre-order rank].
+    chosen: List[Tuple[int, ParseTreeNode]] = []
+    chosen_ancestor: Dict[int, int] = {}     # chosen node id -> nearest chosen ancestor id
     remaining_splits = machines - 1
-
-    # Effective size of a node = linearized size minus the sizes of detached descendants.
-    # We traverse bottom-up (post-order) so nested splittable subtrees are considered
-    # before their ancestors, mirroring the parser's behaviour of shipping the deepest
-    # oversized subtrees first.
-    detached_size: Dict[int, int] = {}
-
-    def effective_size(node: ParseTreeNode) -> int:
-        return subtree_size[node.node_id] - detached_size.get(node.node_id, 0)
-
-    chosen: Set[int] = set()
-    for node in post_order:
-        if remaining_splits <= 0:
-            break
-        if node is root or node.is_terminal:
-            continue
-        symbol = node.symbol
-        assert isinstance(symbol, Nonterminal)
-        if not symbol.splittable:
-            continue
-        size = effective_size(node)
-        if size < max(threshold, symbol.min_split_size):
-            continue
-        chosen.add(node.node_id)
-        split_nodes.append(node)
-        remaining_splits -= 1
-        # Propagate the detached size up to every ancestor.
-        ancestor = node.parent
-        while ancestor is not None:
-            detached_size[ancestor.node_id] = detached_size.get(ancestor.node_id, 0) + size
-            ancestor = ancestor.parent
+    rank = 0
+    stack: List[list] = [[root, 0, 0, [], rank]]
+    while stack and remaining_splits > 0:
+        frame = stack[-1]
+        node = frame[0]
+        children = node.children
+        for index in range(frame[1], len(children)):
+            child = children[index]
+            if child.wire_size >= threshold and not child.symbol.is_terminal:
+                frame[1] = index + 1
+                rank += 1
+                stack.append([child, 0, 0, [], rank])
+                break
+        else:
+            stack.pop()
+            detached, waiting = frame[2], frame[3]
+            symbol = node.symbol
+            if node is not root and symbol.splittable:
+                size = node.wire_size - detached
+                if size >= max(threshold, symbol.min_split_size):
+                    chosen.append((frame[4], node))
+                    remaining_splits -= 1
+                    for node_id in waiting:
+                        chosen_ancestor[node_id] = node.node_id
+                    detached += size
+                    waiting = [node.node_id]
+            if stack:
+                parent_frame = stack[-1]
+                parent_frame[2] += detached
+                parent_frame[3].extend(waiting)
 
     # Build regions: region 0 is the root region; others in the order their roots appear
     # in a pre-order walk (stable, readable labelling).
-    ordered_split_nodes = [
-        node for node in root.walk() if node.node_id in chosen
-    ]
+    chosen.sort(key=lambda entry: entry[0])
     regions: List[Region] = [Region(0, root, None)]
     region_of_root_node: Dict[int, int] = {root.node_id: 0}
-    for node in ordered_split_nodes:
-        region_id = len(regions)
-        regions.append(Region(region_id, node, None))
-        region_of_root_node[node.node_id] = region_id
+    for _, node in chosen:
+        region_of_root_node[node.node_id] = len(regions)
+        regions.append(Region(len(regions), node, None))
 
-    # Assign parent regions and sizes.
+    # A chosen node nobody adopted hangs off the root region.
     for region in regions[1:]:
-        ancestor = region.root.parent
-        while ancestor is not None and ancestor.node_id not in region_of_root_node:
-            ancestor = ancestor.parent
-        parent_id = region_of_root_node[ancestor.node_id] if ancestor is not None else 0
+        parent_id = region_of_root_node[
+            chosen_ancestor.get(region.root.node_id, root.node_id)
+        ]
         region.parent_region = parent_id
         regions[parent_id].child_regions.append(region.region_id)
 
     # A region owns its root's subtree minus the subtrees detached into child
-    # regions, so its size and node count fall out of the precomputed totals.
+    # regions, so its size and node count fall out of the nodes' summaries.
     for region in reversed(regions):
-        size = subtree_size[region.root.node_id]
-        nodes = subtree_nodes[region.root.node_id]
+        size = region.root.wire_size
+        nodes = region.root.node_count
         for child_id in region.child_regions:
-            size -= subtree_size[regions[child_id].root.node_id]
-            nodes -= subtree_nodes[regions[child_id].root.node_id]
+            size -= regions[child_id].root.wire_size
+            nodes -= regions[child_id].root.node_count
         region.size = size
         region.node_count = nodes
 

@@ -33,27 +33,36 @@ def splittable_nodes(
     return candidates
 
 
-def detach_subtree(node: ParseTreeNode) -> ParseTreeNode:
-    """Detach ``node`` from its parent, leaving a *hole* placeholder in its place.
+def detach_subtree(root: ParseTreeNode, node: ParseTreeNode) -> ParseTreeNode:
+    """Detach ``node`` from the tree rooted at ``root``, leaving a *hole* in its place.
 
     Returns the hole node: a childless, production-less node carrying the same
-    nonterminal symbol.  The detached subtree becomes a standalone tree (its parent
-    pointer is cleared) and can be evaluated independently; the hole's synthesized
-    attributes must later be supplied from that remote evaluation, while its inherited
-    attributes are computed by the remaining (local) part of the tree and must be
-    exported to whoever evaluates the detached subtree.
+    nonterminal symbol.  The detached subtree is untouched and can be evaluated
+    independently; the hole's synthesized attributes must later be supplied from
+    that remote evaluation, while its inherited attributes are computed by the
+    remaining (local) part of the tree and must be exported to whoever evaluates the
+    detached subtree.  Nodes keep no parent pointer, so the tree root is needed to
+    find ``node``'s ancestors; their summaries are refreshed to describe the tree
+    with the hole in it.
     """
-    if node.parent is None:
+    if node is root:
         raise ValueError("cannot detach the root of a tree")
     if node.is_terminal:
         raise ValueError("cannot detach a terminal leaf")
-    parent = node.parent
-    index = node.child_index
-    assert index is not None
+    path: List[ParseTreeNode] = []  # the ancestors of the node the walk is at
+    for current, parent, index in root.walk_with_parent():
+        while path and path[-1] is not parent:
+            path.pop()
+        if current is node:
+            break
+        path.append(current)
+    else:
+        raise ValueError("node is not part of the tree")
     hole = ParseTreeNode(node.symbol)
-    hole.parent = parent
-    hole.child_index = index
-    parent.children[index - 1] = hole
-    node.parent = None
-    node.child_index = None
+    parent.children = parent.children[: index - 1] + (hole,) + parent.children[index:]
+    for ancestor in path:
+        ancestor.node_count -= node.node_count - hole.node_count
+        ancestor.wire_size -= node.wire_size - hole.wire_size
+        ancestor.attribute_instances -= node.attribute_instances - hole.attribute_instances
+        ancestor.token_count -= node.token_count
     return hole

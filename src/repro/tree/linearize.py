@@ -31,7 +31,7 @@ from array import array
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.grammar.grammar import AttributeGrammar
-from repro.tree.node import ParseTreeNode, make_node, make_terminal, node_wire_size
+from repro.tree.node import ParseTreeNode, make_node, make_terminal
 
 
 class LinearizedTree:
@@ -249,7 +249,9 @@ def pack(
     codes = array("i")
     values: List[Any] = []
     hole_meta = array("q")
-    size = 0
+    # The region's bytes are its root's summary less each detached subtree, which
+    # a 16-byte hole record replaces.
+    size = root.wire_size
     stack = [root]
     while stack:
         node = stack.pop()
@@ -257,16 +259,14 @@ def pack(
             codes.append((nonterminal_index[node.symbol.name] << 2) | _TAG_HOLE)
             hole_meta.append(holes[node.node_id])
             hole_meta.append(node.node_id)
-            size += 16
+            size += 16 - node.wire_size
             continue
         if node.is_terminal:
             codes.append((terminal_index[node.symbol.name] << 2) | _TAG_TERMINAL)
             values.append(node.token_value)
-            size += node_wire_size(node)
         else:
             assert node.production is not None
             codes.append((node.production.index << 2) | _TAG_PRODUCTION)
-            size += node_wire_size(node)
             stack.extend(reversed(node.children))
     return PackedTree(codes, values, hole_meta, root.symbol.name, size)
 

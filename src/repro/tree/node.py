@@ -10,7 +10,7 @@ which is what the evaluators and the distributed protocol use as keys.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.grammar.productions import AttributeRef, Production
 from repro.grammar.symbols import Nonterminal, Symbol, Terminal
@@ -18,18 +18,8 @@ from repro.grammar.symbols import Nonterminal, Symbol, Terminal
 _node_counter = itertools.count(1)
 
 
-def node_wire_size(node: "ParseTreeNode") -> int:
-    """Abstract transmission size of one node in a linearized subtree.
-
-    Terminals are charged for their token text, nonterminal nodes for a small fixed
-    header.  This is the single definition of the size model shared by
-    :meth:`ParseTreeNode.linearized_size`, the decomposition planner and the packed
-    codec (hole records, which replace whole subtrees, are charged separately).
-    """
-    if node.symbol.is_terminal:
-        value = node.token_value
-        return 4 + (len(value) if isinstance(value, str) else 4)
-    return 8
+#: The one children tuple every leaf shares.
+_NO_CHILDREN: Tuple["ParseTreeNode", ...] = ()
 
 
 class AttributeInstance:
@@ -62,6 +52,24 @@ class ParseTreeNode:
     :param production: the production applied at this node (``None`` for terminals).
     :param children: child nodes, one per right-hand-side symbol of the production.
     :param token_value: scanner-supplied value for terminal leaves.
+
+    A node is fixed once constructed and points only downwards: there is no parent
+    pointer, so a tree is acyclic (dropping its root frees it by reference count) and
+    a subtree can be shared between trees, which the incremental splice relies on.
+    The constructor sums four summaries of the subtree rooted here in the same loop
+    that validates the children, so consumers read them instead of walking:
+
+    * ``node_count`` — nodes in the subtree;
+    * ``wire_size`` — abstract linearized bytes, the size model the split policy, the
+      packed codec and the network model share: a terminal is charged 4 bytes plus
+      its token text (4 for a non-string value), a nonterminal an 8-byte header;
+    * ``attribute_instances`` — attribute instances of the nonterminal nodes; a
+      production-less nonterminal (a *hole*) owns only its inherited ones, its
+      synthesized attributes belonging to whoever evaluates the detached subtree;
+    * ``token_count`` — terminal leaves, i.e. the length of the node's token span.
+
+    Callers that need a node's parent get it from their own descent
+    (:meth:`walk_with_parent`).
     """
 
     __slots__ = (
@@ -69,47 +77,75 @@ class ParseTreeNode:
         "symbol",
         "production",
         "children",
-        "parent",
-        "child_index",
         "token_value",
         "attributes",
+        "node_count",
+        "wire_size",
+        "attribute_instances",
+        "token_count",
     )
 
     def __init__(
         self,
         symbol: Symbol,
         production: Optional[Production] = None,
-        children: Optional[List["ParseTreeNode"]] = None,
+        children: Optional[Sequence["ParseTreeNode"]] = None,
         token_value: Any = None,
     ):
         self.node_id = next(_node_counter)
         self.symbol = symbol
         self.production = production
-        self.children: List[ParseTreeNode] = children or []
-        self.parent: Optional[ParseTreeNode] = None
-        self.child_index: Optional[int] = None  # 1-based position under parent
         self.token_value = token_value
-        self.attributes: Dict[str, Any] = {}
-        for index, child in enumerate(self.children, start=1):
-            child.parent = self
-            child.child_index = index
-        if production is not None:
-            rhs = production.rhs
-            if len(self.children) != len(rhs):
-                raise ValueError(
-                    f"node for {production.label!r} needs {len(rhs)} children, "
-                    f"got {len(self.children)}"
+        if production is None:
+            if children:
+                raise ValueError("a node without a production cannot have children")
+            self.children: Tuple[ParseTreeNode, ...] = _NO_CHILDREN
+            self.node_count = 1
+            if symbol.is_terminal:
+                # Terminals never hold computed attributes (their one attribute is
+                # the token value), so they allocate no dict.
+                self.attributes: Optional[Dict[str, Any]] = None
+                self.wire_size = 4 + (
+                    len(token_value) if isinstance(token_value, str) else 4
                 )
-            for child, expected in zip(self.children, rhs):
-                # Trees built from a grammar share its symbol singletons, so the
-                # identity test short-circuits the (much slower) structural __eq__.
-                if child.symbol is not expected and child.symbol != expected:
-                    raise ValueError(
-                        f"node for {production.label!r}: child {child.symbol.name!r} does "
-                        f"not match expected symbol {expected.name!r}"
-                    )
-        if production is not None and symbol.is_terminal:
+                self.attribute_instances = 0
+                self.token_count = 1
+            else:
+                self.attributes = {}
+                self.wire_size = 8
+                self.attribute_instances = len(symbol.inherited)  # type: ignore[attr-defined]
+                self.token_count = 0
+            return
+        self.children = children = tuple(children) if children else _NO_CHILDREN
+        self.attributes = {}
+        rhs = production.rhs
+        if len(children) != len(rhs):
+            raise ValueError(
+                f"node for {production.label!r} needs {len(rhs)} children, "
+                f"got {len(children)}"
+            )
+        node_count = 1
+        wire_size = 8
+        attribute_instances = 0
+        token_count = 0
+        for child, expected in zip(children, rhs):
+            # Trees built from a grammar share its symbol singletons, so the
+            # identity test short-circuits the (much slower) structural __eq__.
+            if child.symbol is not expected and child.symbol != expected:
+                raise ValueError(
+                    f"node for {production.label!r}: child {child.symbol.name!r} does "
+                    f"not match expected symbol {expected.name!r}"
+                )
+            node_count += child.node_count
+            wire_size += child.wire_size
+            attribute_instances += child.attribute_instances
+            token_count += child.token_count
+        if symbol.is_terminal:
             raise ValueError("terminal nodes cannot carry a production")
+        self.node_count = node_count
+        self.wire_size = wire_size
+        self.attribute_instances = attribute_instances + len(symbol.attributes)  # type: ignore[attr-defined]
+        self.token_count = token_count
 
     # ----------------------------------------------------------------- queries
 
@@ -168,9 +204,23 @@ class ParseTreeNode:
             if not node.children:
                 yield node
 
+    def walk_with_parent(
+        self,
+    ) -> Iterator[Tuple["ParseTreeNode", Optional["ParseTreeNode"], int]]:
+        """Pre-order ``(node, parent, index)`` triples; ``index`` is the node's 1-based
+        position under ``parent`` (``(self, None, 0)`` for the subtree root)."""
+        stack: List[Tuple[ParseTreeNode, Optional[ParseTreeNode], int]] = [(self, None, 0)]
+        while stack:
+            entry = stack.pop()
+            yield entry
+            node = entry[0]
+            children = node.children
+            for index in range(len(children), 0, -1):
+                stack.append((children[index - 1], node, index))
+
     def subtree_size(self) -> int:
-        """Number of nodes in the subtree rooted here."""
-        return sum(1 for _ in self.walk())
+        """Number of nodes in the subtree rooted here (summed at construction)."""
+        return self.node_count
 
     def linearized_size(self) -> int:
         """Abstract size in bytes of the linearized subtree, used by the split policy.
@@ -178,15 +228,7 @@ class ParseTreeNode:
         Terminals are charged for their token text, nonterminal nodes for a small fixed
         header, roughly mirroring a compact network representation of the tree.
         """
-        return sum(node_wire_size(node) for node in self.walk())
-
-    def path_to_root(self) -> List["ParseTreeNode"]:
-        path = [self]
-        node = self
-        while node.parent is not None:
-            node = node.parent
-            path.append(node)
-        return path
+        return self.wire_size
 
     def pretty(self, indent: int = 0, max_depth: Optional[int] = None) -> str:
         """Readable multi-line rendering used by examples and error messages."""
@@ -216,6 +258,6 @@ def make_terminal(terminal: Terminal, value: Any = None) -> ParseTreeNode:
     return ParseTreeNode(terminal, token_value=value)
 
 
-def make_node(production: Production, children: List[ParseTreeNode]) -> ParseTreeNode:
+def make_node(production: Production, children: Sequence[ParseTreeNode]) -> ParseTreeNode:
     """Create a nonterminal node for ``production`` with the given children."""
     return ParseTreeNode(production.lhs, production=production, children=children)

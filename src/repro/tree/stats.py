@@ -33,7 +33,7 @@ class TreeStatistics:
 
 def tree_statistics(root: ParseTreeNode) -> TreeStatistics:
     """Compute :class:`TreeStatistics` for the subtree rooted at ``root``."""
-    stats = TreeStatistics()
+    stats = TreeStatistics(linearized_size=root.wire_size)
     stack = [(root, 1)]
     while stack:
         node, depth = stack.pop()
@@ -44,13 +44,9 @@ def tree_statistics(root: ParseTreeNode) -> TreeStatistics:
         )
         if node.is_terminal:
             stats.terminal_count += 1
-            stats.attribute_instance_count += len(node.symbol.attribute_names)  # type: ignore[attr-defined]
-            value = node.token_value
-            stats.linearized_size += 4 + (len(value) if isinstance(value, str) else 4)
         else:
             stats.nonterminal_count += 1
-            stats.attribute_instance_count += len(node.symbol.attribute_names)  # type: ignore[attr-defined]
-            stats.linearized_size += 8
+        stats.attribute_instance_count += len(node.symbol.attribute_names)  # type: ignore[attr-defined]
         for child in node.children:
             stack.append((child, depth + 1))
     return stats

@@ -460,6 +460,59 @@ class TestClusterPlumbing:
         finally:
             pool.shutdown()
 
+    def test_shutdown_racing_worker_registration(self):
+        """A substrate shut down while workers are still registering stops cleanly.
+
+        ``wait_for_workers`` returns as soon as a worker is in the directory, which
+        is before its connection is published; shutdown() used to find connections
+        whose writer thread existed but had not been started and died joining them.
+        """
+
+        def register(address):
+            try:
+                with socket.create_connection(address, timeout=5.0) as sock:
+                    wfile, rfile = sock.makefile("wb"), sock.makefile("rb")
+                    wire.send_message(wfile, wire.hello("worker", "racer"))
+                    while wire.recv_message(rfile) is not None:
+                        pass  # welcome, shutdown ... until the coordinator hangs up
+            except (OSError, wire.ProtocolError):
+                pass
+
+        for _ in range(25):
+            before = set(threading.enumerate())
+            pool = SocketsSubstrate(workers=0, manage_workers=False, receive_timeout=TIMEOUT)
+            pool.start()
+            racers = [
+                threading.Thread(target=register, args=(pool.address,), daemon=True)
+                for _ in range(3)
+            ]
+            for racer in racers:
+                racer.start()
+            assert pool.wait_for_workers(1, timeout=10.0) >= 1
+            pool.shutdown()  # used to raise "cannot join thread before it is started"
+            for racer in racers:
+                racer.join(timeout=10.0)
+                assert not racer.is_alive()
+            # Every thread shutdown() joins — accept, monitor, one writer a
+            # published connection — is really gone, not abandoned at a timeout.
+            assert not [
+                thread.name
+                for thread in threading.enumerate()
+                if thread not in before
+                and thread.name.startswith(
+                    ("repro-cluster-accept", "repro-cluster-monitor", "repro-cluster-writer")
+                )
+            ]
+
+    def test_managed_substrate_starts_and_stops_back_to_back(self):
+        """The managed fleet, real worker processes: up, straight down, all reaped."""
+        for _ in range(20):
+            pool = create_substrate("sockets", workers=2, receive_timeout=TIMEOUT)
+            with pool:
+                pass
+            assert pool._local_workers
+            assert all(worker.poll() is not None for worker in pool._local_workers)
+
     def test_too_few_workers_is_a_clear_error(self):
         pool = SocketsSubstrate(
             workers=2, receive_timeout=TIMEOUT, worker_startup_timeout=0.0

@@ -164,7 +164,7 @@ class TestCombinedEvaluator:
         source = "let x = 3 in 1 + 2 * x ni"
         tree = parse_expression(source)
         block = next(n for n in tree.walk() if n.symbol.name == "block")
-        hole = detach_subtree(block)
+        hole = detach_subtree(tree, block)
 
         scheduler = CombinedScheduler(expr_grammar, tree, hole_nodes=[hole])
         while True:

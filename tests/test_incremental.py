@@ -26,7 +26,6 @@ from repro.incremental.cache import RegionArtifact
 from repro.incremental.fingerprint import FingerprintMemo, region_keys
 from repro.incremental.frontend import (
     EditEnvelope,
-    count_tokens,
     incremental_reparse,
     incremental_scan,
 )
@@ -158,8 +157,6 @@ class TestIncrementalReparse:
         parser = _shared_parser()
         tokens, spans, _ = _LEXER.scan(source)
         tree = parser.parse(tokens)
-        counts = {}
-        count_tokens(tree, counts)
 
         match = list(re.finditer(r"\b\d+\b", source))[20]
         new_text = source[: match.start()] + "321" + source[match.end() :]
@@ -170,7 +167,7 @@ class TestIncrementalReparse:
         )
         before = {id(node) for node in tree.walk()}
         new_tree, mode = incremental_reparse(
-            grammar, parser, tree, counts, new_tokens, fc, orr, nrr
+            grammar, parser, tree, new_tokens, fc, orr, nrr
         )
         assert mode == "splice"
         reference = parser.parse(_LEXER.tokenize(new_text))
@@ -184,10 +181,8 @@ class TestIncrementalReparse:
         parser = _shared_parser()
         tokens, spans, _ = _LEXER.scan(source)
         tree = parser.parse(tokens)
-        counts = {}
-        count_tokens(tree, counts)
         new_tree, mode = incremental_reparse(
-            grammar, parser, tree, counts, tokens, 5, 5, 5
+            grammar, parser, tree, tokens, 5, 5, 5
         )
         assert mode == "reuse"
         assert new_tree is tree

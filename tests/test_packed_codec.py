@@ -138,16 +138,19 @@ class TestRandomizedFuzz:
                 and node.symbol.splittable
             ]
             rng.shuffle(candidates)
+            parent_of = {
+                node.node_id: parent for node, parent, _ in tree.walk_with_parent()
+            }
             holes = {}
             taken = set()
             for region, node in enumerate(candidates[: rng.randint(0, 3)], start=1):
                 # Nested holes are legal only if no ancestor is already detached.
-                ancestor, nested = node.parent, False
+                ancestor, nested = parent_of[node.node_id], False
                 while ancestor is not None:
                     if ancestor.node_id in taken:
                         nested = True
                         break
-                    ancestor = ancestor.parent
+                    ancestor = parent_of[ancestor.node_id]
                 if nested:
                     continue
                 holes[node.node_id] = region

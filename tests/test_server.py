@@ -958,8 +958,12 @@ class TestRetention:
                 assert values == (cold_value, edited_value, edited_value)
 
         def census():
-            gc.collect()
+            # Every response is in, so every job has finished; the /stats round trip
+            # gives the pool threads the interpreter once more, and an idle pool
+            # thread keeps nothing of its last job — which thread ran last no
+            # longer matters.  Collect after it, immediately before counting.
             entries = client.json("GET", "/stats")[1]["server"]["artifact_cache"]["entries"]
+            gc.collect()
             return len(gc.get_objects()), entries
 
         drive(scripts[: self.WARMUP])  # lazy imports, pools, first-use tables
