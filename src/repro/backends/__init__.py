@@ -6,7 +6,7 @@ Four implementations of the same :class:`~repro.backends.base.Backend` interface
   discrete-event simulation, simulated seconds);
 * ``"threads"`` — OS threads with ``queue.Queue`` mailboxes;
 * ``"processes"`` — forked OS processes with picklable protocol messages over
-  ``multiprocessing.Queue``;
+  pipes (coordinator mailboxes stay in-process queues);
 * ``"sockets"`` — separate worker host processes over TCP (loopback by default,
   any reachable machine in general), backed by the :mod:`repro.cluster`
   coordinator: consistent-hash sharding, heartbeats, and region reassignment

@@ -11,8 +11,7 @@ directly.  A backend decides what those requests mean:
 * the **threads** and **processes** backends execute the very same generators on real
   OS threads / OS processes: the real CPU work happens inline between yields, so a
   :class:`Compute` request resumes immediately (its modelled cost is ignored) and a
-  :class:`Receive` is a genuine blocking read from a ``queue.Queue`` /
-  ``multiprocessing.Queue`` mailbox.
+  :class:`Receive` is a genuine blocking read from the mailbox's queue or pipe.
 
 Because the process bodies never import a substrate directly, the coordinator,
 evaluator and librarian logic exists exactly once and every backend runs the identical
@@ -75,8 +74,8 @@ class Receive:
 class Mailbox:
     """A named FIFO channel owned by one receiving process.
 
-    Concrete backends attach their own transport handle (a simulator ``Store``, a
-    ``queue.Queue`` or a ``multiprocessing.Queue``).
+    Concrete backends attach their own transport handle (a simulator ``Store``, an
+    in-process queue or a ``multiprocessing.Queue``).
     """
 
     __slots__ = ("name",)
@@ -450,11 +449,11 @@ def deadline_get(fifo: Any, deadline: float, timeout: float, who: str, mailbox_n
 def blocking_receive(fifo: Any, timeout: float, failed: Any, who: str, mailbox_name: str) -> Any:
     """Blocking queue read with a real deadline and token-based failure wake-up.
 
-    The reader sleeps in the OS until a message lands in ``fifo`` (a ``queue.Queue``
-    or ``multiprocessing.Queue``) — no polling slices, so message latency is bounded
-    by the transport, not by a tick interval.  A failure flagged by another worker
-    (``failed``, a ``threading.Event``) is delivered as a :class:`WakeToken`; gives
-    up with a diagnostic after ``timeout`` seconds.
+    The reader sleeps in the OS until a message lands in ``fifo`` (anything with
+    ``queue.Queue``'s ``get(timeout=)``) — no polling slices, so message latency is
+    bounded by the transport, not by a tick interval.  A failure flagged by another
+    worker (``failed``, a ``threading.Event``) is delivered as a :class:`WakeToken`;
+    gives up with a diagnostic after ``timeout`` seconds.
     """
     if _faults.ACTIVE is not None:
         apply_receive_faults(who, mailbox_name)
@@ -466,10 +465,6 @@ def blocking_receive(fifo: Any, timeout: float, failed: Any, who: str, mailbox_n
         if isinstance(message, WakeToken):
             continue
         return message
-
-
-#: Backwards-compatible alias for the pre-token polling primitive (same signature).
-poll_receive = blocking_receive
 
 
 def drain_fifo(fifo: Any, settle_timeout: float = 0.0) -> int:

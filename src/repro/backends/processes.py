@@ -1,30 +1,59 @@
 """The multiprocessing backend: real OS processes with pickled protocol messages.
 
-Mailboxes are ``multiprocessing.Queue`` instances, so every message that crosses a
-worker boundary — linearized subtrees, boundary attribute values, code fragments,
-descriptors, results — round-trips through pickle, exactly like bytes on a wire.
+Whatever leaves a process — linearized subtrees, boundary attribute values, code
+fragments, descriptors, results — is pickled by its sender and unpickled by its
+reader, exactly like bytes on a wire; a message between two bodies of the driving
+process is handed over as the object it is.
 
 Two lifecycles are provided:
 
 * :class:`ProcessesSubstrate` — the persistent pool.  ``start()`` forks long-lived
-  worker processes that pull *job specs* (picklable :class:`~repro.backends.base.WorkerJob`
-  descriptions, not generators) from per-worker job channels and survive across
+  worker processes that read *job specs* (picklable :class:`~repro.backends.base.WorkerJob`
+  descriptions, not generators) from a pipe of their own and survive across
   compilations, so fork cost is paid once, not per compile.  Large immutable objects
   (grammar + evaluation plan bundles) are shipped to each worker once and cached there
-  by key; mailboxes are leased from a fixed registry of queues created before the
-  first fork so that children inherit every transport handle they will ever need.
-  The pool grows on demand (``fork`` start method, so late workers inherit the same
-  registry), and many run sessions may be in flight concurrently.
+  by key.  The pool grows on demand (``fork`` start method), and many run sessions may
+  be in flight concurrently.  Its message plane:
+
+  - **worker → parent**: every worker owns the write end of one one-way pipe,
+    created at its fork.  Each record (``send``, ``claim``, ``report`` and the final
+    ``done``/``aborted``/``error``) is pickled and written by the call that produces
+    it, so it is on the wire when the call returns.  A worker runs one thread and
+    takes no lock to write: killing it can only truncate its own stream.
+  - **dispatcher**: one parent thread sleeps in ``multiprocessing.connection.wait``
+    over every worker's pipe and process sentinel (plus a wake pipe for pool
+    changes and shutdown); a record is routed when it lands and a death is handled
+    when it happens.  It routes a worker's message without opening it: the message
+    travels inside its record as the bytes the worker pickled, and whoever reads the
+    mailbox unpickles them — so the time the dispatcher spends on a record does
+    not grow with the message (a thread woken by a pipe write tends to run on the
+    writer's core, and the writer waits it out).
+  - **mailboxes** are leased per session.  A mailbox read by a coordinator body in
+    the driving process (parser, librarian, replay bodies) is a ``queue.SimpleQueue``
+    inside that process: what another coordinator sends arrives as the object
+    itself, what a worker sends as its pickled bytes, nothing crosses a pipe again.
+    A mailbox read by a worker job is one of a fixed registry of
+    ``multiprocessing.Queue`` slots created before the first fork (so every child
+    inherits every handle it will need), written only by the parent and buffered
+    there, so the dispatcher never waits for a worker to read.  Which of the two a
+    mailbox is, is decided by its first reader: every delivery is logged, and the
+    log is handed over when a coordinator first reads the mailbox or a worker's
+    ``claim`` for it arrives.
+  - **lifetime**: a child closes every pipe end that belongs to the parent, so the
+    pipes reach end-of-file exactly when the driving process is gone (or shuts the
+    pool down).  An idle worker then reads EOF on its job pipe, a busy one finds its
+    record pipe broken or sees the EOF while waiting on a mailbox; all of them exit.
 
 * :class:`ProcessesBackend` — the legacy one-shot API.  Workers are forked *after*
   the coordinator has built the grammar and every process body, so the process bodies
   are inherited copy-on-write and never serialised; this is the only processes path
-  that can run arbitrary in-memory generators (and unpicklable grammars).
+  that can run arbitrary in-memory generators (and unpicklable grammars).  Its
+  mailboxes and its control channel are ``multiprocessing.Queue`` instances.
 
 Placement (both lifecycles): worker bodies (the evaluators) execute on forked OS
 processes; coordinator bodies (parser, librarian) run on threads inside the driving
 process, where they can share the compilation outcome with the caller.  Worker reports
-come back out-of-band on a control queue via ``publish_report``.
+come back out-of-band via ``publish_report``.
 
 Requires a POSIX ``fork`` start method (Linux/macOS); on platforms without it,
 construction raises :class:`BackendError` — use the threads backend there.
@@ -68,6 +97,38 @@ from repro.faults import plan as _faults
 from repro.faults.plan import FaultPlan
 
 
+#: Held across every fork this module makes, and around every change to
+#: :data:`_PARENT_ENDS`.  A child inherits a copy of each descriptor open in the
+#: parent at the instant of the fork; with forks serialised, the child-side end of a
+#: worker's pipe exists in the parent only between its creation and its close a few
+#: lines later, so no sibling can inherit it and keep the pipe from reaching EOF.
+_FORK_LOCK = threading.Lock()
+
+#: Every pipe end the driving process holds for its pooled workers (all substrates):
+#: job-pipe write ends, record-pipe read ends, dispatcher wake pipes.  A forked child
+#: closes its copies first thing (:func:`_drop_parent_ends`).
+_PARENT_ENDS: Set[Any] = set()
+
+
+def _close_parent_ends(*ends: Any) -> None:
+    with _FORK_LOCK:
+        _PARENT_ENDS.difference_update(ends)
+    for end in ends:
+        end.close()
+
+
+def _drop_parent_ends() -> None:
+    """First call of a forked child: close its copies of the parent's pipe ends.
+
+    The child's :data:`_PARENT_ENDS` is the parent's as of the fork.  With these
+    closed, each pipe reaches EOF exactly when the driving process lets go of it —
+    by shutting a pool down, or by dying.
+    """
+    for end in _PARENT_ENDS:
+        end.close()
+    _PARENT_ENDS.clear()
+
+
 # ---------------------------------------------------------------------------- wire
 
 
@@ -80,13 +141,44 @@ class _MailboxRef:
 
 
 class RegistryMailbox(QueueMailbox):
-    """A mailbox leased from a :class:`ProcessesSubstrate` registry slot."""
+    """A mailbox leased from a :class:`ProcessesSubstrate` registry slot.
 
-    __slots__ = ("index",)
+    ``queue`` is the slot's ``multiprocessing.Queue``, the transport a worker job
+    reads.  In the driving process the mailbox also carries the ``log`` of every
+    message delivered to it and its ``sink`` — where deliveries go once the reader is
+    known: ``None`` until the first read, then a ``queue.SimpleQueue`` (a coordinator
+    body reads it) or ``queue`` itself (a worker claimed it).
+    """
+
+    __slots__ = ("index", "log", "sink")
 
     def __init__(self, name: str, fifo: Any, index: int):
         super().__init__(name, fifo)
         self.index = index
+        self.log: List[Any] = []
+        self.sink: Optional[Any] = None
+
+
+class _Sealed:
+    """A worker's message as the bytes the worker pickled it to.
+
+    The dispatcher logs and routes it unopened; the mailbox's reader unpickles it —
+    a coordinator thread straight from its queue, another worker after one more
+    copy of the same bytes through its mailbox queue.
+    """
+
+    __slots__ = ("blob",)
+
+    def __init__(self, blob: bytes):
+        self.blob = blob
+
+    def __reduce__(self) -> Tuple:
+        return _Sealed, (self.blob,)
+
+
+def _opened(message: Any) -> Any:
+    """What a mailbox read returns: the message itself, unpickled if it was sealed."""
+    return pickle.loads(message.blob) if type(message) is _Sealed else message
 
 
 def _encode_wire(value: Any) -> Any:
@@ -127,31 +219,56 @@ class _JobAborted(Exception):
     """Raised inside a pooled worker when the parent flags the current job aborted."""
 
 
+class _ParentGone(Exception):
+    """Raised inside a pooled worker whose pipes to the driving process have closed.
+
+    Either the parent died or it shut the pool down; there is nobody left to report
+    to, so the worker unwinds and exits.
+    """
+
+
+def _write_record(records: Any, record: Tuple) -> None:
+    """Pickle one record and write it to the worker's record pipe, in the caller.
+
+    A record that does not pickle raises here, inside the job that produced it.
+    """
+    blob = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
+    try:
+        records.send_bytes(blob)
+    except OSError as error:  # EPIPE: the only reader was the driving process
+        raise _ParentGone() from error
+
+
 class _ChildTransport:
     """The Backend facade seen by a job running inside a pooled worker process.
 
-    Sends do not touch the destination queue directly: they travel to the parent
-    on the control queue (``("send", session, job, seq, mailbox index, message)``)
-    and the dispatcher routes them.  That single hop is what makes pooled-worker
-    death recoverable: the parent logs every message per mailbox, so a respawned
-    worker can replay the job from the full history, and the per-job send
-    sequence number lets the parent suppress the replay's duplicate outputs —
-    the same claim/log/forwarded design the sockets cluster coordinator uses.
-    It also confines the SIGKILL hazard: a mailbox queue now has exactly one
-    writer (the parent) and one reader, so a dying sibling can never wedge it.
+    Sends do not touch the destination mailbox: they travel to the parent on the
+    worker's record pipe (``("send", session, job, seq, mailbox index, pickled
+    message)``) and the dispatcher routes them.  That single hop is what makes
+    pooled-worker death recoverable: the parent logs every message per mailbox, so
+    a respawned worker can replay the job from the full history, and the per-job
+    send sequence number lets the parent suppress the replay's duplicate outputs
+    — the same claim/log/forwarded design the sockets cluster coordinator uses.
+    Every channel has one writer: this worker on its record pipe, the parent on
+    each mailbox queue and job pipe — so a worker killed at any instant damages
+    nothing a sibling reads or writes.
     """
 
     name = "processes"
 
     def __init__(
         self,
-        control: Any,
+        records: Any,
+        lifeline: Any,
         session_id: int,
         job_name: str,
         abort_event: Any,
         receive_timeout: float,
     ):
-        self._control = control
+        self._records = records
+        #: The worker's job pipe.  The parent writes nothing to it while a job runs,
+        #: so mid-job it becomes readable only at EOF — the driving process is gone.
+        self._lifeline = lifeline
         self._session_id = session_id
         self._job_name = job_name
         self._abort = abort_event
@@ -164,9 +281,10 @@ class _ChildTransport:
 
     def _route(self, mailbox: "RegistryMailbox", message: Any) -> None:
         self._send_seq += 1
-        self._control.put(
+        _write_record(
+            self._records,
             ("send", self._session_id, self._job_name, self._send_seq,
-             mailbox.index, message)
+             mailbox.index, pickle.dumps(message, pickle.HIGHEST_PROTOCOL)),
         )
 
     def send(self, source: int, destination: int, message: Any, size_bytes: int,
@@ -184,7 +302,7 @@ class _ChildTransport:
         self.bytes += size_bytes
 
     def publish_report(self, region_id: int, report: Any) -> None:
-        self._control.put(("report", self._session_id, region_id, report))
+        _write_record(self._records, ("report", self._session_id, region_id, report))
 
     @property
     def now(self) -> float:
@@ -192,68 +310,74 @@ class _ChildTransport:
 
     def receive(self, mailbox: "RegistryMailbox") -> Any:
         if mailbox.index not in self._claimed:
-            # Claim before the first blocking read, so that if this process dies
-            # mid-receive the parent knows which mailbox history to rebuild for
-            # the replay.  (A SIGKILL can in principle still beat the control
-            # queue's feeder thread to the pipe; the replay then misses the
-            # claim, the re-executed job times out on its receive bound and the
-            # compile fails *typed* — bounded, never a hang.)
+            # Claim before the first blocking read: the claim is what turns the
+            # mailbox's deliveries towards this worker, and if this process dies
+            # mid-receive it tells the parent which mailbox history to rebuild for
+            # the replay.  It is in the pipe when this call returns, ahead of
+            # anything that could kill the worker afterwards.
             self._claimed.add(mailbox.index)
-            self._control.put(("claim", self._session_id, self._job_name, mailbox.index))
+            _write_record(
+                self._records,
+                ("claim", self._session_id, self._job_name, mailbox.index),
+            )
         if _faults.ACTIVE is not None:
             apply_receive_faults(self._job_name, mailbox.name)
             hit = _faults.ACTIVE.check("worker.crash", self._job_name)
             if hit is not None:
                 if hit.action == "crash":
-                    # A hard, SIGKILL-like death at a point where no queue locks
-                    # are held.  The brief sleep lets the control queue's feeder
-                    # flush the claims/sends already issued, mirroring what a
-                    # real mid-evaluation kill looks like.
-                    time.sleep(0.05)
-                    os._exit(3)
+                    os._exit(3)  # a hard, SIGKILL-like death
                 raise FaultError("worker.crash", hit.action, self._job_name)
         # Genuinely blocking: the worker sleeps in the OS until a message (or a
         # WakeToken injected by the parent's abort path) lands in the mailbox, so the
-        # per-message latency floor is the queue transport itself, not a poll tick.
+        # per-message latency floor is the transport itself, not a poll tick.
         deadline = time.monotonic() + self._timeout
+        waitables = [mailbox.queue._reader, self._lifeline]
         while True:
             if self._abort.is_set():
                 raise _JobAborted()
+            ready = multiprocessing.connection.wait(
+                waitables, max(0.0, deadline - time.monotonic())
+            )
+            if self._lifeline in ready:
+                raise _ParentGone()
             message = deadline_get(
                 mailbox.queue, deadline, self._timeout, "pooled worker", mailbox.name
             )
             if isinstance(message, WakeToken):
                 continue
-            return message
+            return _opened(message)
 
 
 def _pool_worker_main(
     worker_index: int,
-    job_queue: Any,
-    control: Any,
+    jobs: Any,
+    records: Any,
     registry: List[Any],
     abort_event: Any,
 ) -> None:
     """Entry point of a long-lived pooled worker process.
 
-    Pulls pickled job specs until poisoned with ``None``.  Shared bundles (grammar +
-    plan) arrive at most once and are cached by key for every later job.  A failing or
-    aborted job is reported on the control queue and the worker stays alive for the
-    next job — one bad compilation never costs the pool a fork.
+    Reads pickled job specs from ``jobs`` until the pipe reaches EOF — the pool was
+    shut down, or the driving process died.  Shared bundles (grammar + plan) arrive
+    at most once and are cached by key for every later job.  A failing or aborted job
+    is reported on ``records`` and the worker stays alive for the next job — one bad
+    compilation never costs the pool a fork.
 
     The cyclic collector runs only here, between jobs: the inherited heap is frozen,
-    a job runs with automatic collection off, and once its last record is queued and
+    a job runs with automatic collection off, and once its last record is written and
     :func:`_run_pooled_job` has returned (taking the job's region tree, evaluator and
     transport with it) one ``gc.collect()`` frees whatever cycles the job left — so
     a collection never lands inside an evaluation and an idle pool holds no trees.
     """
+    _drop_parent_ends()
     freeze_inherited_heap()
     shared_cache: Dict[int, Any] = {}
     _faults.load_from_env()
     adopted_fault_token: Optional[str] = os.environ.get(_faults.ENV_VAR)
     while True:
-        item = job_queue.get()
-        if item is None:
+        try:
+            item = pickle.loads(jobs.recv_bytes())
+        except (EOFError, OSError):
             return
         fault_token = item[-1]
         # The fault plan ships with the job, like a (tiny) language bundle, so a
@@ -266,25 +390,23 @@ def _pool_worker_main(
                 _faults.ACTIVE = FaultPlan.decode(fault_token) if fault_token else None
             except Exception:
                 _faults.ACTIVE = None
-        _run_pooled_job(worker_index, control, registry, abort_event, shared_cache, item)
+        try:
+            _run_pooled_job(jobs, records, registry, abort_event, shared_cache, item)
+        except _ParentGone:
+            return
         del item
-        # The job's report and final record are queued, but it is the control
-        # queue's feeder thread that pickles and writes them, and ``gc.collect()``
-        # holds the GIL from start to finish: yield it once first, or the parent
-        # waits out the collection before it sees the job end.
-        time.sleep(0)
         gc.collect()
 
 
 def _run_pooled_job(
-    worker_index: int,
-    control: Any,
+    jobs: Any,
+    records: Any,
     registry: List[Any],
     abort_event: Any,
     shared_cache: Dict[int, Any],
     item: Tuple,
 ) -> None:
-    """Run one job spec to its final control record (done, aborted or error).
+    """Run one job spec to its final record (done, aborted or error).
 
     A function of its own so that every exit releases the job's locals before the
     worker's between-jobs collection.
@@ -301,17 +423,18 @@ def _run_pooled_job(
         for argument, key in shared_keys.items():
             kwargs[argument] = shared_cache[key]
         transport = _ChildTransport(
-            control, session_id, name, abort_event, receive_timeout
+            records, jobs, session_id, name, abort_event, receive_timeout
         )
         body = factory(transport, **kwargs)
         drive(body, transport.receive)
-        control.put(
-            ("done", session_id, worker_index, name, transport.messages, transport.bytes)
-        )
+        final: Tuple = ("done", session_id, name, transport.messages, transport.bytes)
+    except _ParentGone:
+        raise
     except _JobAborted:
-        control.put(("aborted", session_id, worker_index, name))
+        final = ("aborted", session_id, name)
     except BaseException:  # noqa: BLE001 — shipped to the parent; worker survives
-        control.put(("error", session_id, worker_index, name, traceback.format_exc()))
+        final = ("error", session_id, name, traceback.format_exc())
+    _write_record(records, final)
 
 
 # --------------------------------------------------------------------- parent side
@@ -321,20 +444,46 @@ class _PoolWorker:
     """Parent-side bookkeeping for one long-lived worker process."""
 
     __slots__ = (
-        "index", "process", "job_queue", "abort_event", "known_keys", "current",
+        "index", "process", "jobs", "records", "abort_event", "known_keys", "current",
         "inflight",
     )
 
-    def __init__(self, index: int, process: Any, job_queue: Any, abort_event: Any):
+    def __init__(self, index: int, process: Any, jobs: Any, records: Any, abort_event: Any):
         self.index = index
         self.process = process
-        self.job_queue = job_queue
+        self.jobs = jobs          # write end of the worker's job pipe
+        self.records = records    # read end of the worker's record pipe
         self.abort_event = abort_event
         self.known_keys: set = set()
         self.current: Optional[Tuple[int, str]] = None  # (session_id, job name)
         #: Everything needed to re-execute the current job on a respawned worker:
         #: (session_id, name, payload_blob, shared key tuple, receive_timeout).
         self.inflight: Optional[Tuple[int, str, bytes, Tuple[int, ...], float]] = None
+
+    def assign(self, inflight: Tuple, shared_blobs: Dict[int, bytes],
+               fault_token: Optional[str]) -> None:
+        """Write one job spec to the worker and record it as the worker's job.
+
+        The spec is pickled and written by the caller.  A worker that died since it
+        was last seen alive has closed the pipe; the job is recorded all the same, so
+        the dispatcher, which buries the worker next, replays it on a replacement.
+        """
+        session_id, name, payload_blob, _, receive_timeout = inflight
+        # A stale abort (from a previous assignment, already settled under the
+        # substrate lock) must not leak into the job about to be written; clear
+        # before the write — the child may read it immediately.
+        self.abort_event.clear()
+        spec = (session_id, name, payload_blob, shared_blobs, receive_timeout, fault_token)
+        try:
+            self.jobs.send_bytes(pickle.dumps(spec, pickle.HIGHEST_PROTOCOL))
+        except OSError:
+            pass
+        # Blobs count as known only from here, once written — marking earlier would
+        # let a submit that failed before the write poison the cache for every later
+        # compilation.
+        self.known_keys.update(shared_blobs)
+        self.current = (session_id, name)
+        self.inflight = inflight
 
 
 class ProcessesSubstrate(Substrate):
@@ -381,7 +530,8 @@ class ProcessesSubstrate(Substrate):
         #: mailbox across two queues.  Recovery is rare; leaking a slot is safe.
         self._retired_slots: Set[int] = set()
         self._respawns = 0
-        self._control: Optional[Any] = None
+        self._wake_reader: Optional[Any] = None
+        self._wake_writer: Optional[Any] = None
         self._dispatcher: Optional[threading.Thread] = None
         self._sessions: Dict[int, "ProcessesSession"] = {}
         self._session_seq = 0
@@ -401,7 +551,9 @@ class ProcessesSubstrate(Substrate):
             if self._started:
                 return self
             self._started = True
-            self._control = self._context.Queue()
+            self._wake_reader, self._wake_writer = self._context.Pipe(duplex=False)
+            with _FORK_LOCK:
+                _PARENT_ENDS.update((self._wake_reader, self._wake_writer))
             # The whole mailbox registry is created before the first fork so every
             # worker — including ones forked later to grow the pool — inherits every
             # transport handle a session could ever lease.
@@ -425,9 +577,9 @@ class ProcessesSubstrate(Substrate):
             sessions = list(self._sessions.values())
         for session in sessions:
             # Fail the whole in-flight run, not just its receives: the dispatcher is
-            # about to exit, so the workers' final control records will never be
-            # routed — without an error and a completed jobs-event, run() would wait
-            # on those records forever (or, worse, report an aborted run as success).
+            # about to exit, so the workers' final records will never be routed —
+            # without an error and a completed jobs-event, run() would wait on those
+            # records forever (or, worse, report an aborted run as success).
             with session._lock:
                 session._errors.append(
                     ("substrate", "processes substrate was shut down mid-run")
@@ -442,18 +594,20 @@ class ProcessesSubstrate(Substrate):
                 worker.abort_event.set()
         for session in sessions:
             session._wake_mailboxes("processes substrate shut down")
-        for worker in workers:
-            if worker.process.is_alive():
-                worker.job_queue.put(None)
+        self._wake_dispatcher()
         if self._dispatcher is not None:
-            if self._control is not None:
-                self._control.put(None)  # rouse the dispatcher's blocking get
             self._dispatcher.join(timeout=5.0)
+        # Letting go of the pipes is the stop signal: an idle worker reads EOF on its
+        # job pipe and returns; one still unwinding a job finds its record pipe
+        # broken, or sees the EOF from its mailbox wait, and exits just the same.
+        for worker in workers:
+            _close_parent_ends(worker.jobs, worker.records)
         for worker in workers:
             worker.process.join(timeout=5.0)
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=5.0)
+        _close_parent_ends(self._wake_reader, self._wake_writer)
 
     def session(
         self,
@@ -492,25 +646,41 @@ class ProcessesSubstrate(Substrate):
             if hit is not None:
                 raise FaultError("worker.spawn", hit.action, f"worker-{self._next_worker_index}")
         # Forking here is safe even though the parent is multi-threaded (dispatcher,
-        # service executors, other sessions' coordinators may be mid-put on shared
-        # queues): multiprocessing.Queue registers an after-fork hook that re-inits
+        # service executors, other sessions' coordinators may be mid-put on a mailbox
+        # queue): multiprocessing.Queue registers an after-fork hook that re-inits
         # its internal condition lock and buffer in the child (Queue._reset with
-        # after_fork=True), and the child's first action is our own worker loop,
-        # which touches nothing else inherited.
+        # after_fork=True), the pipes carry no lock at all, and the child's first
+        # action is our own worker loop, which touches nothing else inherited.
         index = self._next_worker_index
         self._next_worker_index += 1
-        job_queue = self._context.Queue()
         abort_event = self._context.Event()
-        process = self._context.Process(
-            target=_pool_worker_main,
-            args=(index, job_queue, self._control, self._registry, abort_event),
-            name=f"repro-pool-worker-{index}",
-            daemon=True,
-        )
-        process.start()
-        worker = _PoolWorker(index, process, job_queue, abort_event)
+        with _FORK_LOCK:
+            jobs_reader, jobs_writer = self._context.Pipe(duplex=False)
+            records_reader, records_writer = self._context.Pipe(duplex=False)
+            _PARENT_ENDS.update((jobs_writer, records_reader))
+            process = self._context.Process(
+                target=_pool_worker_main,
+                args=(index, jobs_reader, records_writer, self._registry, abort_event),
+                name=f"repro-pool-worker-{index}",
+                daemon=True,
+            )
+            try:
+                process.start()
+            except BaseException:
+                _PARENT_ENDS.difference_update((jobs_writer, records_reader))
+                jobs_writer.close()
+                records_reader.close()
+                raise
+            finally:
+                jobs_reader.close()
+                records_writer.close()
+        worker = _PoolWorker(index, process, jobs_writer, records_reader, abort_event)
         self._workers.append(worker)
+        self._wake_dispatcher()  # its wait set is one worker short
         return worker
+
+    def _wake_dispatcher(self) -> None:
+        self._wake_writer.send_bytes(b"!")
 
     def _lease_mailbox(self, name: str) -> RegistryMailbox:
         with self._lock:
@@ -525,13 +695,17 @@ class ProcessesSubstrate(Substrate):
         return RegistryMailbox(name, self._registry[index], index)
 
     def _release_mailboxes(self, leased: List[RegistryMailbox], settle: bool) -> None:
-        """Drain and return leased registry slots so the next lease starts empty.
+        """Empty and return leased registry slots so the next lease starts empty.
 
-        ``settle`` waits out in-flight queue feeders after a failed run; a clean run
-        leaves its mailboxes empty by protocol, so the fast path never blocks at all.
+        Only a mailbox a worker claimed ever had its slot's queue written.  A clean
+        run leaves that queue empty by protocol, so the fast path never blocks;
+        after a failed run (``settle``) the queue's feeder thread in this process
+        may still be writing wake tokens and undelivered messages into the pipe, and
+        the drain waits a moment for them to land.
         """
         for mailbox in leased:
-            drain_fifo(mailbox.queue, settle_timeout=0.1 if settle else 0.0)
+            if mailbox.sink is mailbox.queue:
+                drain_fifo(mailbox.queue, settle_timeout=0.1 if settle else 0.0)
         with self._lock:
             for mailbox in leased:
                 if mailbox.index in self._retired_slots:
@@ -544,7 +718,8 @@ class ProcessesSubstrate(Substrate):
         Called during worker-death recovery, *before* the replacement fork, so
         the respawned worker inherits the fresh queue under the same index and
         the job's pickled payload (which references mailboxes by index) replays
-        unchanged.  The old queue — possibly wedged by the death — is abandoned.
+        unchanged.  The old queue — its read side possibly left mid-frame or with
+        its reader lock held by the death — is abandoned.
         """
         with self._lock:
             fresh = self._context.Queue()
@@ -637,8 +812,6 @@ class ProcessesSubstrate(Substrate):
                         shared_keys[argument] = key
                         if key not in worker.known_keys:
                             shared_blobs[key] = self._shared_blob(key)
-                    # Pickle in the caller (not the queue's feeder thread) so
-                    # unpicklable kwargs fail loudly here, not as a hung run.
                     try:
                         payload_blob = pickle.dumps(
                             (job.factory, _encode_wire(dict(job.kwargs)), shared_keys)
@@ -649,36 +822,25 @@ class ProcessesSubstrate(Substrate):
                             "processes substrate; use the threads substrate or the "
                             "one-shot ProcessesBackend"
                         ) from error
-                    # A stale abort (from a previous assignment, already settled
-                    # under this lock) must not leak into the job about to be queued;
-                    # clear before the put — the child may dequeue it immediately.
-                    worker.abort_event.clear()
-                    worker.job_queue.put(
-                        (session.session_id, name, payload_blob, shared_blobs,
-                         session.receive_timeout, fault_token)
+                    # The record is retained until the job completes: a dead worker's
+                    # job is re-executed from it on a respawned worker.
+                    worker.assign(
+                        (session.session_id, name, payload_blob,
+                         tuple(shared_keys.values()), session.receive_timeout),
+                        shared_blobs, fault_token,
                     )
                 except BaseException:
-                    # Jobs from this one on were never enqueued: settle their share
+                    # Jobs from this one on were never handed out: settle their share
                     # of the session's completion count so close() doesn't stall.
                     session._account_unsubmitted(len(jobs) - index)
                     raise
-                # Only a delivered blob counts as known — marking earlier would let a
-                # failed submit poison the cache for every later compilation.
-                worker.known_keys.update(shared_blobs)
-                worker.current = (session.session_id, name)
-                # Retained until the job completes: a dead worker's job is
-                # re-executed from this record on a respawned worker.
-                worker.inflight = (
-                    session.session_id, name, payload_blob,
-                    tuple(shared_keys.values()), session.receive_timeout,
-                )
             self._evict_delivered_blobs_locked()
 
     def _abort_session(self, session: "ProcessesSession") -> None:
         """Flag every pooled worker still running a job of ``session`` to unwind.
 
         The abort event alone is not enough with blocking receives — a worker asleep
-        in ``queue.get`` never looks at it — so the session's mailboxes are also woken
+        on its mailbox never looks at it — so the session's mailboxes are also woken
         with tokens; the roused worker re-checks the event and unwinds.
         """
         with self._lock:
@@ -690,36 +852,56 @@ class ProcessesSubstrate(Substrate):
     # ----------------------------------------------------------------- dispatcher
 
     def _dispatch_loop(self) -> None:
-        """Drain the control queue and watch worker liveness until shutdown.
+        """Route worker records and bury dead workers until shutdown.
 
-        Blocks on the control queue, so completion/report records are routed the
-        moment they arrive; the timeout only paces the liveness sweep for workers
-        that die without a record.  ``shutdown()`` wakes the loop with a ``None``.
+        Sleeps in ``connection.wait`` over every worker's record pipe and process
+        sentinel, and the wake pipe: a record is routed the moment it lands, a death
+        is handled the moment it happens, and a wake (a worker was forked, or
+        ``shutdown()`` was called) makes the loop re-read the pool.
         """
-        last_liveness = 0.0
         while True:
             with self._lock:
                 if self._stopped:
                     return
-            try:
-                record = self._control.get(timeout=0.2)
-            except queue_module.Empty:
-                record = None
-            if record is not None:
-                self._handle_record(record)
-            now = time.monotonic()
-            if now - last_liveness >= 0.2:
-                last_liveness = now
-                self._check_liveness()
+                workers = list(self._workers)
+            sources: Dict[Any, Optional[_PoolWorker]] = {self._wake_reader: None}
+            for worker in workers:
+                sources[worker.records] = worker
+                sources[worker.process.sentinel] = worker
+            dead: List[_PoolWorker] = []
+            for source in multiprocessing.connection.wait(list(sources)):
+                worker = sources[source]
+                if worker is None:
+                    self._wake_reader.recv_bytes()
+                elif worker in dead:
+                    continue
+                elif source is not worker.records or not self._read_record(worker):
+                    dead.append(worker)
+            for worker in dead:
+                self._bury(worker)
 
-    def _handle_record(self, record: Tuple) -> None:
+    def _read_record(self, worker: _PoolWorker) -> bool:
+        """Read and handle one record of ``worker``; False when its stream has ended.
+
+        A stream ends at EOF, in the middle of a frame (the worker was killed while
+        writing) or at bytes that do not unpickle; each means the same thing — this
+        worker will say nothing more that can be trusted.
+        """
+        try:
+            record = pickle.loads(worker.records.recv_bytes())
+        except Exception:  # noqa: BLE001 — EOFError, OSError, UnpicklingError, ...
+            return False
+        self._handle_record(worker, record)
+        return True
+
+    def _handle_record(self, worker: _PoolWorker, record: Tuple) -> None:
         tag, session_id = record[0], record[1]
         with self._lock:
             session = self._sessions.get(session_id)
         if tag == "send":
-            # ("send", session_id, job name, seq, mailbox index, message)
+            # ("send", session_id, job name, seq, mailbox index, pickled message)
             if session is not None:
-                session._forward(record[2], record[3], record[4], record[5])
+                session._forward(record[2], record[3], record[4], _Sealed(record[5]))
             return
         if tag == "claim":
             # ("claim", session_id, job name, mailbox index)
@@ -730,47 +912,41 @@ class ProcessesSubstrate(Substrate):
             if session is not None:
                 session._reports[record[2]] = record[3]
             return
-        worker_index = record[2]
         with self._lock:
-            worker = next(
-                (entry for entry in self._workers if entry.index == worker_index), None
-            )
-            if worker is None:
-                # The worker was already reaped by the liveness check, which settled
-                # its in-flight job then; settling again here would release the
-                # session's completion event while sibling jobs are still running.
-                return
             worker.current = None
             worker.inflight = None
             worker.abort_event.clear()
         if session is None:
             return
         if tag == "done":
-            session._job_done(record[3], record[4], record[5])
+            session._job_done(record[2], record[3], record[4])
         elif tag == "aborted":
-            session._job_done(record[3], 0, 0)
+            session._job_done(record[2], 0, 0)
         elif tag == "error":
-            session._job_failed(record[3], record[4])
+            session._job_failed(record[2], record[3])
 
-    def _check_liveness(self) -> None:
-        dead: List[_PoolWorker] = []
+    def _bury(self, worker: _PoolWorker) -> None:
+        """Take a dead worker out of the pool and replay the job it was running.
+
+        Whatever the worker wrote before it died is still in its pipe and is routed
+        first, so the replay starts from exactly what the first attempt got out: its
+        claims name the mailboxes to rebuild, its sends advance the watermark.  The
+        worker leaves the pool before the replacement is forked.
+        """
+        while worker.records.poll() and self._read_record(worker):
+            pass
         with self._lock:
-            for worker in self._workers:
-                if not worker.process.is_alive():
-                    dead.append(worker)
-            for worker in dead:
-                # Removed BEFORE the replacement is forked, so any late control
-                # records from the dead incarnation miss the worker lookup in
-                # _handle_record and are dropped instead of double-settling.
-                self._workers.remove(worker)
-        for worker in dead:
-            worker.process.join()
-            if worker.current is not None:
-                session_id, name = worker.current
-                with self._lock:
-                    session = self._sessions.get(session_id)
-                if session is not None:
-                    self._recover_job(session, worker, name)
+            self._workers.remove(worker)
+            current = worker.current
+        _close_parent_ends(worker.jobs, worker.records)
+        worker.process.kill()  # a no-op unless the stream ended before the process
+        worker.process.join()
+        if current is not None:
+            session_id, name = current
+            with self._lock:
+                session = self._sessions.get(session_id)
+            if session is not None:
+                self._recover_job(session, worker, name)
 
     def _recover_job(
         self, session: "ProcessesSession", worker: _PoolWorker, name: str
@@ -800,7 +976,7 @@ class ProcessesSubstrate(Substrate):
             # Fresh queues for the dead job's claimed mailboxes FIRST, so the
             # replacement forks with the updated registry.
             session._reset_claimed_mailboxes(name, self)
-            session_id, job_name, payload_blob, shared_keys, receive_timeout = inflight
+            shared_keys = inflight[3]
             with self._lock:
                 if self._stopped:
                     raise BackendError("substrate shut down during recovery")
@@ -811,18 +987,11 @@ class ProcessesSubstrate(Substrate):
                     for key in shared_keys
                     if key not in replacement.known_keys
                 }
-                replacement.abort_event.clear()
                 # The replay runs with NO fault plan: plan counters are process-
                 # local, so re-shipping the plan would re-arm one-shot rules and
                 # turn every injected crash into a crash loop.  A real SIGKILL
                 # doesn't recur on the replacement either.
-                replacement.job_queue.put(
-                    (session_id, job_name, payload_blob, shared_blobs,
-                     receive_timeout, None)
-                )
-                replacement.known_keys.update(shared_blobs)
-                replacement.current = (session_id, job_name)
-                replacement.inflight = inflight
+                replacement.assign(inflight, shared_blobs, None)
         except BaseException as error:  # noqa: BLE001 — surfaced as a typed job failure
             session._job_failed(name, f"{detail}; respawn failed: {error!r}")
             return
@@ -847,18 +1016,20 @@ class ProcessesSession(Backend):
         self._failed = threading.Event()
         self._errors: List[Tuple[str, str]] = []
         self._lock = threading.Lock()
-        # Routing state for crash recovery.  Every message delivered to a leased
-        # mailbox — parent sends and dispatcher-forwarded child sends alike — is
-        # appended to its log under _route_lock, so a mailbox claimed by a job
-        # that died can be rebuilt byte-identically into a fresh queue.  The
-        # per-job forwarded watermark suppresses the replayed job's duplicate
-        # outputs.  NOTE on lock order: _route_lock may nest the substrate lock
-        # inside it (via _replace_registry_slot); never the other way around.
+        # Routing state.  Every message delivered to a leased mailbox — parent
+        # sends and dispatcher-forwarded child sends alike — is appended to the
+        # mailbox's log under _route_lock and, once the mailbox has a reader, put
+        # into its sink.  The log is what the first reader is handed, and what a
+        # mailbox claimed by a job that died is rebuilt from, byte-identically,
+        # into a fresh queue.  The per-job forwarded watermark suppresses the
+        # replayed job's duplicate outputs.  NOTE on lock order: _route_lock may
+        # nest the substrate lock inside it (via _replace_registry_slot); never the
+        # other way around.
         self._route_lock = threading.Lock()
         self._by_index: Dict[int, RegistryMailbox] = {}
-        self._logs: Dict[int, List[Any]] = {}
         self._claims: Dict[str, Set[int]] = {}     # job name -> claimed slots
         self._forwarded: Dict[str, int] = {}       # job name -> last forwarded seq
+        self._wake_reason: Optional[str] = None    # set once receivers were roused
         self._replay_attempts: Dict[str, int] = {}
         self._replays = 0
         self._messages = 0
@@ -876,7 +1047,6 @@ class ProcessesSession(Backend):
         self._leased.append(mailbox)
         with self._route_lock:
             self._by_index[mailbox.index] = mailbox
-            self._logs[mailbox.index] = []
         return mailbox
 
     def spawn(
@@ -914,15 +1084,11 @@ class ProcessesSession(Backend):
             replacement = apply_send_faults(mailbox.name, message)
             if replacement is not None:
                 messages = replacement
-        # Parent-side sends keep their single pickle hop (coordinators ship whole
-        # region batches this way), but are logged like every other delivery so a
-        # crashed job's mailbox history can be rebuilt.
+        # A coordinator's send is delivered by the coordinator's own thread: straight
+        # into another coordinator's queue, or — one pickle hop — towards a worker.
         with self._route_lock:
-            log = self._logs.get(mailbox.index)
             for item in messages:
-                if log is not None:
-                    log.append(item)
-                mailbox.queue.put(item)
+                self._deliver_locked(mailbox, item)
         with self._lock:
             self._messages += len(messages)
             self._bytes += size_bytes * len(messages)
@@ -1002,14 +1168,34 @@ class ProcessesSession(Backend):
 
     # ---------------------------------------------------------------- internals
 
+    def _deliver_locked(self, mailbox: RegistryMailbox, message: Any) -> None:
+        """Log one delivery and, if the mailbox has a reader yet, hand it over."""
+        mailbox.log.append(message)
+        if mailbox.sink is not None:
+            mailbox.sink.put(message)
+
+    def _bind_locked(self, mailbox: RegistryMailbox, sink: Any) -> None:
+        """Give a mailbox its reader's queue, starting with everything logged so far.
+
+        A reader that turns up after the session's receivers were roused gets its
+        wake token here, behind the history.
+        """
+        mailbox.sink = sink
+        for message in mailbox.log:
+            sink.put(message)
+        if self._wake_reason is not None:
+            sink.put(WakeToken(self._wake_reason))
+
     def _wake_mailboxes(self, reason: str) -> None:
         """Rouse every receiver (pooled worker or coordinator) blocked on a mailbox
         this session leased.  Stray tokens are drained with the mailbox at release.
         Tokens are deliberately NOT logged: a replayed job must see the protocol's
         message history, not the teardown chatter around a past crash."""
         with self._route_lock:
+            self._wake_reason = reason
             for mailbox in self._leased:
-                mailbox.queue.put(WakeToken(reason))
+                if mailbox.sink is not None:
+                    mailbox.sink.put(WakeToken(reason))
 
     def _forward(self, job_name: str, seq: int, index: int, message: Any) -> None:
         """Route one child send (dispatcher thread): log it and deliver it.
@@ -1023,24 +1209,25 @@ class ProcessesSession(Backend):
             if seq <= self._forwarded.get(job_name, 0):
                 return
             self._forwarded[job_name] = seq
-            log = self._logs.get(index)
-            if log is not None:
-                log.append(message)
             mailbox = self._by_index.get(index)
             if mailbox is not None:
-                mailbox.queue.put(message)
+                self._deliver_locked(mailbox, message)
 
     def _note_claim(self, job_name: str, index: int) -> None:
+        """A worker job is about to read mailbox ``index`` (dispatcher thread)."""
         with self._route_lock:
             self._claims.setdefault(job_name, set()).add(index)
+            mailbox = self._by_index.get(index)
+            if mailbox is not None and mailbox.sink is None:
+                self._bind_locked(mailbox, mailbox.queue)
 
     def _reset_claimed_mailboxes(self, job_name: str, substrate: ProcessesSubstrate) -> None:
         """Rebuild every mailbox the dead job had claimed into a fresh queue.
 
         The old queue is never drained or reused — a SIGKILL can leave a
-        multiprocessing queue with a wedged lock or a half-written frame, so the
-        registry slot is swapped for a brand-new queue (and retired from the free
-        list) and the fresh queue is refilled from the session's full message
+        multiprocessing queue with its reader lock held or a half-read frame, so
+        the registry slot is swapped for a brand-new queue (and retired from the
+        free list) and the fresh queue is refilled from the mailbox's full message
         log.  The respawned worker then replays the job against byte-identical
         mailbox history.
         """
@@ -1049,10 +1236,8 @@ class ProcessesSession(Backend):
                 mailbox = self._by_index.get(index)
                 if mailbox is None:
                     continue
-                fresh = substrate._replace_registry_slot(index)
-                mailbox.queue = fresh
-                for message in self._logs.get(index, ()):
-                    fresh.put(message)
+                mailbox.queue = substrate._replace_registry_slot(index)
+                self._bind_locked(mailbox, mailbox.queue)
 
     def _bump_replay_attempts(self, job_name: str) -> int:
         with self._lock:
@@ -1104,10 +1289,16 @@ class ProcessesSession(Backend):
             self._failed.set()
             self._substrate._abort_session(self)
 
-    def _coordinator_receive(self, mailbox: QueueMailbox, who: str) -> Any:
-        return blocking_receive(
-            mailbox.queue, self.receive_timeout, self._failed, who, mailbox.name
-        )
+    def _coordinator_receive(self, mailbox: RegistryMailbox, who: str) -> Any:
+        if mailbox.sink is None:
+            # First read by a body of this process: from here on the mailbox is a
+            # plain in-process queue, and nothing sent to it is pickled.
+            with self._route_lock:
+                if mailbox.sink is None:
+                    self._bind_locked(mailbox, queue_module.SimpleQueue())
+        return _opened(blocking_receive(
+            mailbox.sink, self.receive_timeout, self._failed, who, mailbox.name
+        ))
 
 
 # ------------------------------------------------------------------ one-shot API
@@ -1213,8 +1404,9 @@ class ProcessesBackend(Backend):
             for body, name in self._workers
         ]
         self._children = children
-        for child in children:
-            child.start()
+        with _FORK_LOCK:
+            for child in children:
+                child.start()
         self._live_coordinators = len(self._coordinators)
         coordinator_threads = [
             threading.Thread(
@@ -1344,6 +1536,7 @@ class ProcessesBackend(Backend):
         """Entry point of a forked worker process."""
         self._in_child = True
         self._start = time.perf_counter()
+        _drop_parent_ends()  # hold no pooled substrate's pipes open
         freeze_inherited_heap()  # one job, then exit: this worker never collects
         try:
             drive(body, lambda mailbox: self._child_receive(mailbox, name))

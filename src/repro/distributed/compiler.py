@@ -16,7 +16,7 @@ substrates selected by the ``backend`` knob:
   the paper's evaluation section;
 * ``"threads"`` — one OS thread per evaluator region (``queue.Queue`` mailboxes);
 * ``"processes"`` — one forked OS process per evaluator region (pickled protocol
-  messages over ``multiprocessing.Queue``).
+  messages over pipes).
 
 Every report additionally carries wall-clock timings, so real and simulated runs can be
 compared side by side.

@@ -405,25 +405,26 @@ class EvaluatorNode:
         byte of code crosses the network exactly once.
         """
         fragments: List[Tuple[int, Rope]] = []
-
-        def new_fragment(text: Rope) -> LeafDescriptor:
-            self._fragment_counter += 1
-            fragments.append((self._fragment_counter, text))
-            return LeafDescriptor(self.region_id, self._fragment_counter, len(text))
-
-        def convert(node) -> StringDescriptor:
-            if isinstance(node, Rope):
-                return new_fragment(node)
-            if isinstance(node, LiteralDescriptor):
-                return new_fragment(node.text)
-            if isinstance(node, ConcatDescriptor):
-                return ConcatDescriptor(convert(node.left), convert(node.right))
-            return node  # LeafDescriptor from a descendant region: pass through
-
         if isinstance(value, str):
             value = Rope.leaf(value)
-        descriptor = convert(value)
-        return descriptor, fragments
+        return self._convert_fragments(value, fragments), fragments
+
+    def _convert_fragments(self, node: Any, fragments: List[Tuple[int, Rope]]) -> StringDescriptor:
+        # A method, not a closure: a nested function that calls itself is reachable
+        # from its own cell, and that cycle would pin ``self`` (the region tree, the
+        # ropes, the symbol tables) until a cyclic collection.
+        if isinstance(node, ConcatDescriptor):
+            return ConcatDescriptor(
+                self._convert_fragments(node.left, fragments),
+                self._convert_fragments(node.right, fragments),
+            )
+        if isinstance(node, LiteralDescriptor):
+            node = node.text
+        elif not isinstance(node, Rope):
+            return node  # LeafDescriptor from a descendant region: pass through
+        self._fragment_counter += 1
+        fragments.append((self._fragment_counter, node))
+        return LeafDescriptor(self.region_id, self._fragment_counter, len(node))
 
     def _apply_message(self, message: Any, scheduler) -> Generator:
         if not isinstance(message, AttributeMessage):

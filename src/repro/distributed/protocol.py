@@ -9,8 +9,8 @@ numbers its local nodes.
 
 Every message type (and everything it carries: linearized trees, ropes, string
 descriptors, converted attribute values) must survive a pickle round-trip, because the
-``"processes"`` backend ships messages between OS processes over
-``multiprocessing.Queue``.  :data:`PROTOCOL_MESSAGES` enumerates the full wire
+``"processes"`` backend ships messages between OS processes as pickled frames on
+pipes.  :data:`PROTOCOL_MESSAGES` enumerates the full wire
 vocabulary; the test suite round-trips each one through a real queue.
 """
 

@@ -288,7 +288,12 @@ class CombinedScheduler(Scheduler):
                 for visit in partition.visits:
                     task = _Task("visit", child)
                     task.visit_number = visit.number
-                    task.produces = [(child.node_id, name) for name in visit.synthesized]
+                    # Sorted: a frozenset of names iterates in hash order, which
+                    # differs between interpreter runs and between a plan and its
+                    # unpickled copy in a pooled worker.
+                    task.produces = [
+                        (child.node_id, name) for name in sorted(visit.synthesized)
+                    ]
                     task.priority = any(
                         priority_of[name] for name in visit.synthesized
                     )
@@ -392,7 +397,7 @@ class CombinedScheduler(Scheduler):
         assert isinstance(symbol, Nonterminal)
         partition = self.plan.partition_of(symbol.name)
         computed = []
-        for name in partition.synthesized_of(task.visit_number):
+        for name in sorted(partition.synthesized_of(task.visit_number)):
             computed.append(
                 ComputedAttribute(task.node, name, task.node.get_attribute(name))
             )

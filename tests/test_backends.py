@@ -6,6 +6,8 @@ import gc
 import multiprocessing
 import pickle
 import queue as queue_module
+import threading
+import time
 
 import pytest
 
@@ -366,6 +368,125 @@ def _tree_census_probe(transport):
         yield Compute(0.0)  # pragma: no cover — makes this a generator
 
     return body()
+
+
+def _send_then_list_threads(transport, sink):
+    """A WorkerJob factory: one send, then the worker's thread names as its report."""
+
+    def body():
+        transport.send(0, 0, "hello", 5, mailbox=sink)
+        transport.publish_report(0, [thread.name for thread in threading.enumerate()])
+        return
+        yield Compute(0.0)  # pragma: no cover — makes this a generator
+
+    return body()
+
+
+def _send_a_lock(transport, sink):
+    """A WorkerJob factory whose only send cannot be pickled."""
+
+    def body():
+        transport.send(0, 0, threading.Lock(), 1, mailbox=sink)
+        return
+        yield Compute(0.0)  # pragma: no cover — makes this a generator
+
+    return body()
+
+
+def _flood_peer_then_read(transport, region, own, peer, sink, chunks, chunk_bytes):
+    """A WorkerJob factory that owes its peer ``chunks`` large messages, and the
+    coordinator one more, before it reads any of what the peer owes it."""
+
+    def body():
+        for number in range(chunks):
+            transport.send(region, 1 - region, bytes([number]) * chunk_bytes,
+                           chunk_bytes, mailbox=peer)
+        transport.send(region, 0, bytes([region]) * (1 << 20), 1 << 20, mailbox=sink)
+        received = []
+        for _ in range(chunks):
+            block = yield Receive(own)
+            received.append((block[0], len(block)))
+        transport.publish_report(region, received)
+
+    return body()
+
+
+@requires_fork
+class TestPooledMessagePlane:
+    """The pooled processes substrate: worker records are written by the call that
+    makes them, coordinator mailboxes never leave the process, and neither side of
+    the dispatcher can be held up by a reader that is busy writing."""
+
+    def _run(self, pool, jobs, coordinator):
+        """One session: ``jobs`` maps a name to ``(factory, kwargs builder)``."""
+        session = pool.session(len(jobs))
+        try:
+            boxes = {name: session.mailbox(name) for name in ("sink", "a", "b")}
+            for name, (factory, kwargs) in jobs.items():
+                session.spawn(WorkerJob(factory=factory, kwargs=kwargs(boxes)), name=name)
+            session.spawn(coordinator(boxes), name="coordinator", coordinator=True)
+            session.run()
+            return session.reports
+        finally:
+            session.close()
+
+    def test_a_pooled_worker_runs_one_thread(self):
+        got = []
+
+        def coordinator(boxes):
+            got.append((yield Receive(boxes["sink"])))
+
+        with ProcessesSubstrate(receive_timeout=10) as pool:
+            reports = self._run(
+                pool,
+                {"census": (_send_then_list_threads, lambda boxes: {"sink": boxes["sink"]})},
+                coordinator,
+            )
+        assert got == ["hello"]
+        assert reports[0] == ["MainThread"]
+
+    def test_unpicklable_send_fails_the_run_typed_and_promptly(self):
+        def coordinator(boxes):
+            yield Receive(boxes["sink"])
+
+        started = time.monotonic()
+        with ProcessesSubstrate(receive_timeout=30) as pool:
+            with pytest.raises(BackendError, match=r"(?s)'tongue-tied'.*cannot pickle"):
+                self._run(
+                    pool,
+                    {"tongue-tied": (_send_a_lock, lambda boxes: {"sink": boxes["sink"]})},
+                    coordinator,
+                )
+            assert pool.pool_size == 1  # the worker reported the error and lives on
+        assert time.monotonic() - started < 10  # nowhere near the receive bound
+
+    def test_two_jobs_that_each_owe_the_other_more_than_a_pipe_holds(self):
+        chunks, chunk_bytes = 8, 256 * 1024
+        from_workers = []
+
+        def coordinator(boxes):
+            for _ in range(2):
+                block = yield Receive(boxes["sink"])
+                from_workers.append((block[0], len(block)))
+
+        def kwargs_for(region, own, peer):
+            return lambda boxes: dict(
+                region=region, own=boxes[own], peer=boxes[peer], sink=boxes["sink"],
+                chunks=chunks, chunk_bytes=chunk_bytes,
+            )
+
+        with ProcessesSubstrate(receive_timeout=30) as pool:
+            reports = self._run(
+                pool,
+                {
+                    "a": (_flood_peer_then_read, kwargs_for(0, "a", "b")),
+                    "b": (_flood_peer_then_read, kwargs_for(1, "b", "a")),
+                },
+                coordinator,
+            )
+        expected = [(number, chunk_bytes) for number in range(chunks)]
+        assert reports == {0: expected, 1: expected}
+        assert sorted(from_workers) == [(0, 1 << 20), (1, 1 << 20)]
 
 
 class TestBackendRobustness:

@@ -164,3 +164,47 @@ class TestLibrarianProtocol:
         )
         assert parallel.code_text("code").count("\n") == sequential.code_text("code").count("\n")
         assert parallel.root_attributes["errs"] == sequential.root_attributes["errs"]
+
+
+class TestEvaluatorIsFreedByReferenceCount:
+    def test_register_fragments_leaves_no_cycle_through_the_evaluator(self, split_grammar):
+        """Exporting code through the librarian must not hand the evaluator — and
+        with it the region tree, ropes and symbol tables — to the cyclic collector."""
+        import gc
+        import weakref
+
+        from repro.analysis.visit_sequences import build_evaluation_plan
+        from repro.backends import create_backend
+        from repro.distributed.evaluator_node import EvaluatorNode
+        from repro.runtime.cost import CostModel
+        from repro.strings.descriptors import (
+            ConcatDescriptor,
+            LeafDescriptor,
+            LiteralDescriptor,
+        )
+        from repro.strings.rope import Rope
+
+        backend = create_backend("threads", machines=1)
+        mailbox = backend.mailbox("evaluator-1.mailbox")
+        from_child = LeafDescriptor(2, 1, 40)
+        value = ConcatDescriptor(
+            ConcatDescriptor(Rope.leaf("push 1\n"), from_child),
+            LiteralDescriptor(Rope.leaf("add\n")),
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            node = EvaluatorNode(
+                1, 0, backend, split_grammar, build_evaluation_plan(split_grammar),
+                "combined", CostModel(), {1: mailbox}, {1: 0}, 0, mailbox,
+            )
+            descriptor, fragments = node._register_fragments(value)
+            assert [number for number, _ in fragments] == [1, 2]
+            assert [text.flatten() for _, text in fragments] == ["push 1\n", "add\n"]
+            assert descriptor.left.right is from_child  # passed through
+            alive = weakref.ref(node)
+            del node
+            assert alive() is None, "the evaluator waits for a cyclic collection"
+        finally:
+            gc.enable()
+            backend.close()

@@ -11,9 +11,13 @@ autouse conftest fixture checks segment leaks after every cell).
 from __future__ import annotations
 
 import gc
+import json
 import multiprocessing
 import os
 import signal
+import struct
+import subprocess
+import sys
 import threading
 import time
 
@@ -21,7 +25,7 @@ import pytest
 
 from repro import faults
 from repro.backends import BackendError, ProcessesSubstrate, create_substrate
-from repro.backends.base import WorkerJob
+from repro.backends.base import Receive, WorkerJob
 from repro.distributed.compiler import ParallelCompiler
 from repro.exprlang.evaluator import random_expression_source
 from repro.exprlang.frontend import parse_expression
@@ -37,6 +41,7 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.service import CompilationJob, CompilationService
+from repro.tree import shm
 
 TIMEOUT = 20.0
 
@@ -48,6 +53,15 @@ def _fork_available() -> bool:
 requires_fork = pytest.mark.skipif(
     not _fork_available(), reason="processes backend requires the fork start method"
 )
+
+
+def _running(pid: int) -> bool:
+    """Is ``pid`` a process that can still run (neither gone nor a zombie)?"""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 @pytest.fixture(autouse=True)
@@ -327,6 +341,54 @@ def _collector_probe(transport, marker=None):
     return body()
 
 
+def _cut_own_stream_once(transport, marker, sink):
+    """A WorkerJob factory whose first incarnation is killed half-way through
+    writing a record: a frame header promising 1000 bytes, 500 of them, SIGKILL.
+    ``marker`` tells the replay (a fresh process, same spec) not to do it again."""
+
+    def body():
+        transport.send(0, 0, "before", 6, mailbox=sink)
+        if not os.path.exists(marker):
+            open(marker, "w").close()
+            os.write(transport._records.fileno(), struct.pack("!i", 1000) + b"x" * 500)
+            os.kill(os.getpid(), signal.SIGKILL)
+        transport.send(0, 0, "after", 5, mailbox=sink)
+        transport.publish_report(0, os.getpid())
+        return
+        yield  # pragma: no cover — makes this a generator
+
+    return body()
+
+
+def _echo_own_mailbox(transport, own, sink):
+    """A WorkerJob factory: wait for one message, pass it on, report the pid."""
+
+    def body():
+        message = yield Receive(own)
+        transport.send(1, 0, ("echo", message), 1, mailbox=sink)
+        transport.publish_report(1, os.getpid())
+
+    return body()
+
+
+#: What ``test_workers_die_with_a_sigkilled_parent`` runs and then kills.
+_DRIVER = """
+import json, sys, time
+from repro import Session
+from repro.pascal import generate_program
+
+source = generate_program(procedures=40, statements_per_procedure=6, seed=5)
+session = Session(backend="processes", machines=2).start()
+compiler = session.compiler("pascal")
+assert compiler.compile(source).ok
+pool = session._substrate
+print(json.dumps([worker.process.pid for worker in pool._workers]), flush=True)
+while sys.argv[1] == "mid-compile":
+    compiler.compile(source)
+time.sleep(60)
+"""
+
+
 @requires_fork
 class TestProcessesCrashRecovery:
     def test_pooled_and_replacement_workers_keep_the_collector_off_the_job(
@@ -414,6 +476,89 @@ class TestProcessesCrashRecovery:
                 )
             assert outcome["report"].root_attributes["value"] == expected_value
             assert pool.respawns >= 1
+
+    def test_stream_cut_mid_frame_is_that_workers_death_and_nobody_elses(self, tmp_path):
+        with ProcessesSubstrate(receive_timeout=TIMEOUT) as pool:
+            session = pool.session(2)
+            try:
+                sink = session.mailbox("sink")
+                bystander_box = session.mailbox("bystander")
+                heard = []
+
+                def coordinator():
+                    heard.append((yield Receive(sink)))
+                    heard.append((yield Receive(sink)))
+                    # Only now is the bystander, asleep on its mailbox since before
+                    # the death, given something to do.
+                    session.send(0, 1, "still here?", 1, mailbox=bystander_box)
+                    heard.append((yield Receive(sink)))
+
+                session.spawn(
+                    WorkerJob(
+                        factory=_cut_own_stream_once,
+                        kwargs=dict(marker=str(tmp_path / "cut"), sink=sink),
+                    ),
+                    name="victim",
+                )
+                session.spawn(
+                    WorkerJob(
+                        factory=_echo_own_mailbox,
+                        kwargs=dict(own=bystander_box, sink=sink),
+                    ),
+                    name="bystander",
+                )
+                session.spawn(coordinator(), name="coordinator", coordinator=True)
+                session.run()
+                # Each message exactly once, in order: the replay's second "before"
+                # fell under the watermark the first incarnation had already raised.
+                assert heard == ["before", "after", ("echo", "still here?")]
+                assert pool.respawns == 1 and session.replays == 1
+                finished_by = session.reports
+            finally:
+                session.close()
+            # The replacement finished the victim's job; the bystander's worker is
+            # the one it started on.
+            alive = {worker.process.pid for worker in pool._workers}
+            assert alive == {finished_by[0], finished_by[1]}
+
+    @pytest.mark.parametrize("moment", ["idle", "mid-compile"])
+    def test_workers_die_with_a_sigkilled_parent(self, moment, tmp_path):
+        """No pool worker may outlive the process that forked it — not asleep on its
+        job pipe, not in the middle of an evaluation, not waiting on a mailbox."""
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
+            + [entry for entry in [environment.get("PYTHONPATH")] if entry]
+        )
+        driver = subprocess.Popen(
+            [sys.executable, "-c", _DRIVER, moment],
+            stdout=subprocess.PIPE, text=True, env=environment,
+        )
+        try:
+            pids = json.loads(driver.stdout.readline())
+            assert len(pids) == 2 and all(_running(pid) for pid in pids)
+            time.sleep(0.3)  # idle: asleep on the job pipe; mid-compile: anywhere
+        finally:
+            driver.kill()
+            driver.wait()
+            driver.stdout.close()
+        killed = time.monotonic()
+        try:
+            while any(_running(pid) for pid in pids):
+                assert time.monotonic() - killed < 2.0, (
+                    f"pool workers {[pid for pid in pids if _running(pid)]} "
+                    "outlived their SIGKILLed parent"
+                )
+                time.sleep(0.01)
+        finally:
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            # The dead driver could not unlink what it had shipped; once its workers
+            # are gone too, the interpreter's resource tracker does it for them.
+            patience = time.monotonic() + 5.0
+            while shm.system_segment_names() and time.monotonic() < patience:
+                time.sleep(0.05)
 
     def test_spawn_fault_is_a_typed_failure_not_a_hang(
         self, split_grammar, chaos_tree
