@@ -12,9 +12,8 @@ Two questions, answered with numbers:
    if the disabled plane showed up in the profile, this fails.
 
 2. **How long does recovery take under each fault class?**  For every class the
-   chaos tests exercise (worker crash, message drop, wire corruption, shm
-   attach failure, cache poisoning, deadline expiry) one expression-language
-   compile runs under a seeded :class:`FaultPlan` on the substrate where that
+   chaos tests exercise (worker crash, message drop, wire corruption, cache
+   poisoning, deadline expiry) one expression-language compile runs under a seeded :class:`FaultPlan` on the substrate where that
    fault bites, and the wall clock to the *settled outcome* — byte-identical
    result or typed error — is compared against a fault-free median on the same
    pool.  The difference is the recovery latency.
@@ -80,9 +79,6 @@ FAULT_CELLS = {
     ]),
     "wire-corrupt": ("sockets", lambda: [
         FaultRule("wire.send", action="corrupt", times=1, after=2)
-    ]),
-    "shm-attach-failure": ("processes", lambda: [
-        FaultRule("shm.attach", action="error", times=1)
     ]),
     "cache-poison": ("threads", lambda: [
         FaultRule("cache.get", action="poison", times=1)

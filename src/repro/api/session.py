@@ -96,8 +96,12 @@ class Session:
                 return
             self._closed = True
             substrate = self._substrate
+            cache = self._artifact_cache
         if substrate is not None and self._owns_substrate:
             substrate.shutdown()
+        if cache is not None:
+            # Flush the write-behind queue and retire its writer thread.
+            cache.close()
 
     #: ``shutdown()`` is an alias of :meth:`close`, matching the substrate vocabulary.
     shutdown = close

@@ -172,16 +172,9 @@ class Backend(abc.ABC):
     #: array-of-ints codec instead of the readable linearized records.
     packed_wire: bool = False
 
-    #: True when the receiving end shares a kernel with the sender (forked OS
-    #: processes), so packed regions may ship zero-copy as shared-memory segment
-    #: handles (:mod:`repro.tree.shm`).  Implies ``packed_wire``.  The sockets
-    #: substrate and plain pickling keep the packed-bytes path.
-    shared_ship: bool = False
-
     def __init__(self) -> None:
         self._reports: Dict[int, Any] = {}
         self._worker_count = 0
-        self._shipped_segments: List[Any] = []
 
     # ----------------------------------------------------------------- plumbing
 
@@ -258,27 +251,6 @@ class Backend(abc.ABC):
     def telemetry(self) -> BackendTelemetry:
         """Substrate measurements (valid after ``run()``)."""
         return BackendTelemetry()
-
-    # ----------------------------------------------------- shared-memory ships
-
-    def adopt_segment(self, segment: Any) -> None:
-        """Take ownership of a shipped shared-memory segment for this session.
-
-        The parser calls this for every region it parks in shared memory
-        (:func:`repro.tree.shm.share_packed`); the session releases all adopted
-        segments in :meth:`release_segments`, which every ``close()`` — success,
-        abort, worker death, substrate shutdown — must reach.
-        """
-        self._shipped_segments.append(segment)
-
-    def release_segments(self) -> None:
-        """Unlink every adopted shared-memory segment (idempotent, never raises)."""
-        segments, self._shipped_segments = self._shipped_segments, []
-        for segment in segments:
-            try:
-                segment.release()
-            except Exception:  # release must never mask the original teardown error
-                pass
 
     # ---------------------------------------------------------------- teardown
 

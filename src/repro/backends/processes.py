@@ -1003,7 +1003,6 @@ class ProcessesSession(Backend):
 
     name = "processes"
     packed_wire = True
-    shared_ship = True
 
     def __init__(self, substrate: ProcessesSubstrate, session_id: int, receive_timeout: float):
         super().__init__()
@@ -1136,35 +1135,29 @@ class ProcessesSession(Backend):
         if self._closed:
             return
         self._closed = True
-        try:
-            settle = False
-            if self._ran and not self._jobs_event.is_set():
-                # The compilation is being torn down mid-flight (an error escaped
-                # between run() and report collection, or run() itself raised):
-                # unwind our coordinators and flag our pooled workers so they
-                # return to the pool.
-                self._failed.set()
-                self._substrate._abort_session(self)
-                self._jobs_event.wait(timeout=10.0)
-                settle = True
-            if self._errors:
-                settle = True
-            if self._ran and not self._jobs_event.is_set():
-                # A worker is still wedged in this session's compute after the grace
-                # period: leak the leased mailbox slots rather than return them — a
-                # slot re-leased to a new session could otherwise receive a late
-                # message from this dead compilation and corrupt an unrelated
-                # result.
-                self._substrate._unregister(self)
-                return
-            self._substrate._release_mailboxes(self._leased, settle=settle)
-            self._leased = []
+        settle = False
+        if self._ran and not self._jobs_event.is_set():
+            # The compilation is being torn down mid-flight (an error escaped
+            # between run() and report collection, or run() itself raised):
+            # unwind our coordinators and flag our pooled workers so they
+            # return to the pool.
+            self._failed.set()
+            self._substrate._abort_session(self)
+            self._jobs_event.wait(timeout=10.0)
+            settle = True
+        if self._errors:
+            settle = True
+        if self._ran and not self._jobs_event.is_set():
+            # A worker is still wedged in this session's compute after the grace
+            # period: leak the leased mailbox slots rather than return them — a
+            # slot re-leased to a new session could otherwise receive a late
+            # message from this dead compilation and corrupt an unrelated
+            # result.
             self._substrate._unregister(self)
-        finally:
-            # Shared-memory ship segments are unlinked on every teardown path —
-            # including the wedged-worker early return above (POSIX keeps the
-            # mapping valid for any worker still reading).
-            self.release_segments()
+            return
+        self._substrate._release_mailboxes(self._leased, settle=settle)
+        self._leased = []
+        self._substrate._unregister(self)
 
     # ---------------------------------------------------------------- internals
 
@@ -1316,7 +1309,6 @@ class ProcessesBackend(Backend):
 
     name = "processes"
     packed_wire = True
-    shared_ship = True
 
     def __init__(self, receive_timeout: float = 120.0):
         super().__init__()
@@ -1505,22 +1497,19 @@ class ProcessesBackend(Backend):
         if self._closed:
             return
         self._closed = True
-        try:
-            self._failed.set()
-            with self._lock:
-                coordinators_blocked = self._live_coordinators > 0
-            if coordinators_blocked:
-                # Only a run abandoned mid-flight can still have a coordinator asleep
-                # in a receive; a cleanly finished run must not get garbage wake
-                # tokens.
-                self._fail()
-            for child in self._children:
-                if child.is_alive():
-                    child.terminate()
-            for child in self._children:
-                child.join(timeout=5.0)
-        finally:
-            self.release_segments()
+        self._failed.set()
+        with self._lock:
+            coordinators_blocked = self._live_coordinators > 0
+        if coordinators_blocked:
+            # Only a run abandoned mid-flight can still have a coordinator asleep
+            # in a receive; a cleanly finished run must not get garbage wake
+            # tokens.
+            self._fail()
+        for child in self._children:
+            if child.is_alive():
+                child.terminate()
+        for child in self._children:
+            child.join(timeout=5.0)
 
     # ---------------------------------------------------------------- internals
 

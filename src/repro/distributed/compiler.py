@@ -62,7 +62,6 @@ from repro.runtime.cost import CostModel
 from repro.runtime.machine import ActivityInterval, ActivityKind
 from repro.runtime.network import NetworkParameters
 from repro.strings.rope import Rope
-from repro.tree import shm
 from repro.tree.linearize import linearize, pack
 from repro.tree.node import ParseTreeNode
 
@@ -87,10 +86,6 @@ class CompilerConfiguration:
         firing with no table dispatch.  Requires (and builds on)
         ``use_precompiled_tables``; ``False`` keeps the table path as the
         bit-identical parity reference.
-    :param use_zero_copy_ship: on substrates that share a kernel with their workers
-        (``shared_ship`` capability — the processes substrate), ship packed regions
-        as shared-memory segment handles (:mod:`repro.tree.shm`) instead of pickled
-        byte blobs.  Other substrates are unaffected.
     :param min_split_size: explicit decomposition threshold (abstract bytes); by default
         the threshold is derived from the tree size and machine count.
     :param split_scale: multiplier on the automatically derived threshold (the paper's
@@ -106,7 +101,6 @@ class CompilerConfiguration:
     use_priority: bool = True
     use_precompiled_tables: bool = True
     use_compiled_plans: bool = True
-    use_zero_copy_ship: bool = True
     root_inherited: Dict[str, Any] = field(default_factory=dict)
     cost_model: CostModel = field(default_factory=CostModel)
     network: NetworkParameters = field(default_factory=NetworkParameters)
@@ -601,32 +595,13 @@ class ParallelCompiler:
         # (another OS process, or another host entirely), so they ship in the packed
         # array-of-ints codec there; everywhere else the readable linearized records
         # are used (the simulated substrate must stay byte-identical, and in-process
-        # transports never serialise).  When the substrate additionally shares a
-        # kernel with its workers (processes), packed regions can go one step
-        # further and ship zero-copy as shared-memory segment handles; the session
-        # adopts each segment and unlinks it at close on every teardown path.
+        # transports never serialise).
         use_packed = getattr(substrate, "packed_wire", False)
-        use_shared = (
-            use_packed
-            and config.use_zero_copy_ship
-            and getattr(substrate, "shared_ship", False)
-            and shm.shared_memory_available()
-        )
 
         def encode_region(root: ParseTreeNode, holes: Dict[int, int]) -> Any:
-            if not use_packed:
-                return linearize(root, holes)
-            packed = pack(self.grammar, root, holes)
-            if not use_shared:
-                return packed
-            try:
-                handle, segment = shm.share_packed(packed)
-            except OSError:
-                # Shared memory refused (e.g. /dev/shm exhausted): fall back to
-                # shipping the packed bytes through the mailbox for this region.
-                return packed
-            substrate.adopt_segment(segment)
-            return handle
+            if use_packed:
+                return pack(self.grammar, root, holes)
+            return linearize(root, holes)
 
         ship_started = time.perf_counter()
         # Ship remote regions first (they must cross the network), then hand the root

@@ -1,8 +1,8 @@
 """Deterministic fault injection (see :mod:`repro.faults.plan`).
 
 Build a seeded :class:`FaultPlan`, install it, and every named injection point
-threaded through the substrates, the cluster wire, the shm ship, the artifact
-cache and the HTTP server becomes a deterministic chaos source::
+threaded through the substrates, the cluster wire, the artifact cache and the
+HTTP server becomes a deterministic chaos source::
 
     from repro.faults import FaultPlan, FaultRule, active
 

@@ -1,12 +1,11 @@
 """The deterministic fault-injection plane: seed-driven faults at named points.
 
 Real code paths — mailbox sends and receives, the cluster wire protocol, worker
-spawn and job execution, shared-memory ships, the artifact cache, the HTTP
-server — each declare a **named injection point**.  A :class:`FaultPlan` (a seed
-plus a list of :class:`FaultRule`\\ s) decides, deterministically, which
-opportunities at those points turn into injected faults: a dropped message, a
-delayed frame, a crashed worker, a poisoned artifact, a typed
-:class:`FaultError`.
+spawn and job execution, the artifact cache, the HTTP server — each declare a
+**named injection point**.  A :class:`FaultPlan` (a seed plus a list of
+:class:`FaultRule`\\ s) decides, deterministically, which opportunities at those
+points turn into injected faults: a dropped message, a delayed frame, a crashed
+worker, a poisoned artifact, a typed :class:`FaultError`.
 
 Design constraints, in order:
 
@@ -38,9 +37,6 @@ point              site                                        actions understoo
 ``worker.spawn``   ``ProcessesSubstrate._fork_worker_locked``  error
 ``worker.crash``   pooled process / thread job execution       crash (child ``os._exit``), error
 ``wire.send`` / ``wire.recv`` ``cluster.wire`` frame codec     corrupt, truncate, delay, error
-``shm.share``      ``tree.shm.share_packed``                   error (→ packed-bytes fallback)
-``shm.attach``     ``tree.shm`` segment attach                 error
-``shm.unlink``     ``tree.shm`` segment release                error (swallowed, counted)
 ``cache.get``      ``incremental.cache.ArtifactCache.get``     poison (forced miss), error
 ``server.request`` ``server.app`` request dispatch             stall (delay), error
 ``store.read``     ``store.objects.ArtifactStore.read``        error (→ miss), corrupt (→ quarantined miss), delay

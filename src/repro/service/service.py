@@ -313,12 +313,14 @@ class CompilationService:
         self._queued = 0
         self._rejected = 0
         self._deadline_misses = 0
+        self._owns_cache = False
         if artifact_cache is True or (
             store is not None and (artifact_cache is False or artifact_cache is None)
         ):
             from repro.incremental.cache import ArtifactCache
 
             self._artifact_cache: Optional[Any] = ArtifactCache(store=store)
+            self._owns_cache = True
         elif artifact_cache is False or artifact_cache is None:
             self._artifact_cache = None
         else:
@@ -353,8 +355,8 @@ class CompilationService:
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting jobs; optionally wait for in-flight compilations.
 
-        Shuts the substrate down too if the service created it; a borrowed substrate
-        is left running for its owner.
+        Shuts the substrate down and closes the artifact cache too if the service
+        created them; borrowed ones are left running for their owner.
         """
         with self._lock:
             if self._closed:
@@ -365,6 +367,10 @@ class CompilationService:
             executor.shutdown(wait=wait)
         if self._owns_substrate:
             self._substrate.shutdown()
+        if self._owns_cache:
+            # Flush the write-behind queue and retire its writer thread; a borrowed
+            # cache is its owner's to close.
+            self._artifact_cache.close()
 
     #: ``close()`` is an alias of :meth:`shutdown`, matching the session/substrate
     #: vocabulary; after either, :meth:`submit` raises a clear

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import weakref
 from array import array
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.grammar.grammar import AttributeGrammar
 from repro.tree.node import ParseTreeNode, make_node, make_terminal
@@ -408,17 +408,9 @@ def unpack_linearized(grammar: AttributeGrammar, packed: PackedTree) -> Lineariz
 
 
 def rebuild(
-    grammar: AttributeGrammar, tree: Any
+    grammar: AttributeGrammar, tree: Union[PackedTree, LinearizedTree]
 ) -> Tuple[ParseTreeNode, Dict[int, ParseTreeNode]]:
-    """Rebuild a subtree from any wire representation.
-
-    Shared-memory handles (:class:`repro.tree.shm.SharedPackedTree`) know how to
-    rebuild themselves; dispatching on that method keeps this module free of any
-    shared-memory import on platforms without it.
-    """
+    """Rebuild a subtree from either wire representation."""
     if isinstance(tree, PackedTree):
         return unpack(grammar, tree)
-    rebuilder = getattr(tree, "rebuild", None)
-    if rebuilder is not None:
-        return rebuilder(grammar)
     return delinearize(grammar, tree)

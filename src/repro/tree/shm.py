@@ -1,293 +1,121 @@
-"""Zero-copy region shipping over ``multiprocessing.shared_memory``.
+"""A packed region parked in POSIX shared memory — a benchmark fixture only.
 
-On the processes substrate both ends of the wire share a kernel, so a packed region
-does not have to be pickled into the mailbox queue at all: the parser copies the
-:class:`~repro.tree.linearize.PackedTree` int arrays (and the pickled token values)
-into one POSIX shared-memory segment and ships a tiny :class:`SharedPackedTree`
-*handle* — segment name plus slice lengths — instead of the byte blob.  The worker
-maps the segment and unpacks straight out of ``memoryview`` casts over the mapping;
-the code arrays are never copied into worker memory.
+No code under ``repro`` imports this module: every substrate ships a region as the
+:class:`~repro.tree.linearize.PackedTree` itself.  The ledger's traced
+``paper_sweep`` still times one round trip of the largest region through a
+segment (``tree.shm.share.p50_ms``, ``tree.shm.rebuild.p50_ms``), so what it calls
+is kept here and nothing more:
 
-Lifetime is owned by the *shipping session*: :func:`share_packed` returns the handle
-together with a :class:`ShippedSegment` owner whose :meth:`~ShippedSegment.release`
-closes and unlinks the segment.  Sessions adopt every owner they ship and release
-them all when the session settles, aborts, or is shut down — including failure paths
-(worker death, mid-job shutdown) — so segments never outlive the compile that
-created them.  On POSIX, unlinking while a worker still has the segment mapped is
-safe: the mapping stays valid until the worker closes it.
+* :func:`share_packed` copies ``codes | hole_meta | pickled token values`` into a
+  fresh segment and returns a handle (segment name plus slice lengths) together with
+  the :class:`ShippedSegment` that owns it;
+* :func:`rebuild_shared` maps the segment by name and unpacks straight out of
+  ``memoryview`` casts over the mapping;
+* :meth:`ShippedSegment.release` closes and unlinks the segment (idempotent).  The
+  caller releases in ``finally``.
 
-Worker-side attaches deliberately bypass the ``resource_tracker``: pooled workers
-outlive many compiles, and the tracker would otherwise accumulate one "leaked
-shared_memory" entry per shipped region (spurious unlink attempts and warnings at
-worker exit).  The creating process keeps normal tracking as a crash safety net.
-
-The handle is transparent to the rest of the system: it answers ``size_bytes()``
-with the same abstract accounting as the packed/linearized forms (the cost model
-charges for the *tree*, not the transport), and ``repro.tree.linearize.rebuild``
-dispatches to :meth:`SharedPackedTree.rebuild` by duck type, so evaluator nodes need
-no changes.  Substrates that cannot share memory (sockets, plain pickling) are never
-handed a handle — the parser checks the substrate's ``shared_ship`` capability and
-falls back to the packed-bytes path.
+Creating, mapping and unlinking all bypass ``multiprocessing.resource_tracker``:
+registering a segment would start the tracker, a second interpreter that outlives
+the process that started it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import pickle
-from array import array
-from typing import Any, Dict, List, Optional, Tuple
+from multiprocessing import resource_tracker
+from multiprocessing.shared_memory import SharedMemory
+from typing import Dict, Iterator, Optional, Tuple
 
-from repro.faults import plan as _faults
 from repro.grammar.grammar import AttributeGrammar
 from repro.tree.linearize import PackedTree, unpack
 from repro.tree.node import ParseTreeNode
 
-try:  # pragma: no cover - absent only on platforms without shared memory support
-    from multiprocessing.shared_memory import SharedMemory
-except ImportError:  # pragma: no cover
-    SharedMemory = None  # type: ignore[assignment]
-
-
-def shared_memory_available() -> bool:
-    """Whether this platform can back region ships with shared-memory segments."""
-    return SharedMemory is not None
-
-
-class SharedPackedTree:
-    """Picklable handle to a packed tree parked in a shared-memory segment.
-
-    The segment layout is ``codes | hole_meta | pickled token values``; the handle
-    carries the byte length of each slice so the receiver can cast views without
-    any framing inside the segment.
-    """
-
-    __slots__ = (
-        "segment_name",
-        "codes_bytes",
-        "holes_bytes",
-        "values_bytes",
-        "root_symbol",
-        "_size_bytes",
-    )
-
-    def __init__(
-        self,
-        segment_name: str,
-        codes_bytes: int,
-        holes_bytes: int,
-        values_bytes: int,
-        root_symbol: str,
-        size_bytes: int,
-    ):
-        self.segment_name = segment_name
-        self.codes_bytes = codes_bytes
-        self.holes_bytes = holes_bytes
-        self.values_bytes = values_bytes
-        self.root_symbol = root_symbol
-        self._size_bytes = size_bytes
-
-    def size_bytes(self) -> int:
-        """Abstract transmission size — identical to the packed form it parks."""
-        return self._size_bytes
-
-    def __reduce__(self):
-        return (
-            SharedPackedTree,
-            (
-                self.segment_name,
-                self.codes_bytes,
-                self.holes_bytes,
-                self.values_bytes,
-                self.root_symbol,
-                self._size_bytes,
-            ),
-        )
-
-    def rebuild(
-        self, grammar: AttributeGrammar
-    ) -> Tuple[ParseTreeNode, Dict[int, ParseTreeNode]]:
-        """Rebuild the subtree straight out of the mapped segment (receiver side)."""
-        return rebuild_shared(grammar, self)
-
-
-class ShippedSegment:
-    """Owner of one shipped segment; releasing closes and unlinks it (idempotent)."""
-
-    __slots__ = ("name", "_memory")
-
-    def __init__(self, name: str, memory: Any):
-        self.name = name
-        self._memory = memory
-
-    def release(self) -> None:
-        memory = self._memory
-        if memory is None:
-            return
-        self._memory = None
-        _live_segments.pop(self.name, None)
-        if _faults.ACTIVE is not None:
-            hit = _faults.ACTIVE.check("shm.unlink", self.name)
-            if hit is not None:
-                if hit.action in ("delay", "stall"):
-                    hit.sleep()
-                else:
-                    # Deterministically exercise the tolerated unlink race: the
-                    # segment vanishes out from under release() (as after a
-                    # crashed-session sweep) and the unlink below must swallow
-                    # the FileNotFoundError.  Never leaks — the unlink happened.
-                    try:
-                        memory.unlink()
-                    except FileNotFoundError:
-                        pass
-        try:
-            memory.close()
-            memory.unlink()
-        except FileNotFoundError:  # already unlinked (e.g. crashed-session sweep)
-            pass
-
-
-#: Segments created by this process that have not been released yet, by name.
-#: The test suite asserts this is empty after every test (no leaked segments).
-_live_segments: Dict[str, ShippedSegment] = {}
+#: ``(segment name, codes bytes, hole-meta bytes, value-pickle bytes, root symbol,
+#: abstract size in bytes)`` — everything a receiver needs besides the mapping.
+_Handle = Tuple[str, int, int, int, str, int]
 
 _segment_counter = itertools.count()
 
-_SEGMENT_PREFIX = "repro_ship_"
 
-
-def live_segment_names() -> List[str]:
-    """Names of segments this process created and has not released (leak probe)."""
-    return sorted(_live_segments)
-
-
-def system_segment_names() -> List[str]:
-    """This process's ship segments still present in the OS namespace (leak probe).
-
-    Scans ``/dev/shm`` for this pid's name prefix; returns ``[]`` where that
-    directory does not exist (non-Linux), so callers can assert emptiness anywhere.
-    """
-    prefix = f"{_SEGMENT_PREFIX}{os.getpid()}_"
+@contextlib.contextmanager
+def _untracked() -> Iterator[None]:
+    """Keep ``SharedMemory`` from registering with (and so starting) the tracker."""
+    register, unregister = resource_tracker.register, resource_tracker.unregister
+    resource_tracker.register = resource_tracker.unregister = lambda *args: None
     try:
-        entries = os.listdir("/dev/shm")
-    except (FileNotFoundError, NotADirectoryError, PermissionError):
-        return []
-    return sorted(entry for entry in entries if entry.startswith(prefix))
+        yield
+    finally:
+        resource_tracker.register, resource_tracker.unregister = register, unregister
 
 
-def share_packed(packed: PackedTree) -> Tuple[SharedPackedTree, ShippedSegment]:
-    """Park ``packed`` in a fresh shared-memory segment.
+class ShippedSegment:
+    """Owner of one segment; releasing closes and unlinks it (idempotent)."""
 
-    Returns the picklable handle to ship and the :class:`ShippedSegment` owner the
-    shipping session must adopt (and later release).  Raises ``OSError`` when the
-    platform refuses (e.g. ``/dev/shm`` full) — callers fall back to shipping the
-    packed bytes themselves.
-    """
-    if SharedMemory is None:
-        raise OSError("shared memory is not available on this platform")
-    if _faults.ACTIVE is not None:
-        hit = _faults.ACTIVE.check("shm.share")
-        if hit is not None:
-            if hit.action in ("delay", "stall"):
-                hit.sleep()
-            else:
-                # An OSError here is the documented "platform refused" contract:
-                # the shipping parser falls back to packed-bytes transport.
-                raise OSError(
-                    f"injected shm.share fault ({hit.action}): segment refused"
-                )
-    codes_blob = packed.codes.tobytes()
-    holes_blob = packed.hole_meta.tobytes()
-    values_blob = pickle.dumps(packed.values, protocol=pickle.HIGHEST_PROTOCOL)
-    total = len(codes_blob) + len(holes_blob) + len(values_blob)
+    __slots__ = ("name", "_memory")
+
+    def __init__(self, name: str, memory: SharedMemory):
+        self.name = name
+        self._memory: Optional[SharedMemory] = memory
+
+    def release(self) -> None:
+        memory, self._memory = self._memory, None
+        if memory is None:
+            return
+        memory.close()
+        with _untracked():
+            memory.unlink()
+
+
+def share_packed(packed: PackedTree) -> Tuple[_Handle, ShippedSegment]:
+    """Park ``packed`` in a fresh shared-memory segment; return its handle and owner."""
+    blobs = (
+        packed.codes.tobytes(),
+        packed.hole_meta.tobytes(),
+        pickle.dumps(packed.values, protocol=pickle.HIGHEST_PROTOCOL),
+    )
+    total = sum(len(blob) for blob in blobs)
     while True:
-        name = f"{_SEGMENT_PREFIX}{os.getpid()}_{next(_segment_counter)}"
+        name = f"repro_ship_{os.getpid()}_{next(_segment_counter)}"
         try:
-            memory = SharedMemory(name=name, create=True, size=max(total, 1))
+            with _untracked():
+                memory = SharedMemory(name=name, create=True, size=max(total, 1))
             break
         except FileExistsError:  # stale name from a crashed predecessor: skip it
             continue
+    segment = ShippedSegment(name, memory)
     try:
-        buffer = memory.buf
         offset = 0
-        for blob in (codes_blob, holes_blob, values_blob):
-            buffer[offset : offset + len(blob)] = blob
+        for blob in blobs:
+            memory.buf[offset : offset + len(blob)] = blob
             offset += len(blob)
     except BaseException:
-        memory.close()
-        memory.unlink()
+        segment.release()
         raise
-    handle = SharedPackedTree(
-        name,
-        len(codes_blob),
-        len(holes_blob),
-        len(values_blob),
-        packed.root_symbol,
-        packed.size_bytes(),
-    )
-    segment = ShippedSegment(name, memory)
-    _live_segments[name] = segment
-    return handle, segment
-
-
-def _attach(name: str) -> Any:
-    """Map an existing segment without registering it with the resource tracker."""
-    if _faults.ACTIVE is not None:
-        hit = _faults.ACTIVE.check("shm.attach", name)
-        if hit is not None:
-            if hit.action in ("delay", "stall"):
-                hit.sleep()
-            else:
-                from repro.faults.plan import FaultError
-
-                raise FaultError("shm.attach", hit.action, name)
-    try:
-        return SharedMemory(name=name, track=False)  # Python 3.13+
-    except TypeError:
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None  # type: ignore[assignment]
-        try:
-            return SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original  # type: ignore[assignment]
+    lengths = tuple(len(blob) for blob in blobs)
+    return (name, *lengths, packed.root_symbol, packed.size_bytes()), segment
 
 
 def rebuild_shared(
-    grammar: AttributeGrammar, handle: SharedPackedTree
+    grammar: AttributeGrammar, handle: _Handle
 ) -> Tuple[ParseTreeNode, Dict[int, ParseTreeNode]]:
-    """Rebuild a subtree from its shared-memory handle (receiver side).
-
-    The int arrays are read through ``memoryview`` casts over the mapping — no
-    copies; only the (typically small) token-value pickle is materialized.  The
-    mapping is closed before returning; the segment itself stays linked until the
-    shipping session releases it.
-    """
-    if SharedMemory is None:
-        raise OSError("shared memory is not available on this platform")
-    memory = _attach(handle.segment_name)
+    """Rebuild a subtree from its handle, reading the int arrays in place."""
+    name, codes_bytes, holes_bytes, values_bytes, root_symbol, size_bytes = handle
+    with _untracked():
+        memory = SharedMemory(name=name)
     try:
         view = memoryview(memory.buf)
+        holes_end = codes_bytes + holes_bytes
+        codes = view[:codes_bytes].cast("i")
+        holes = view[codes_bytes:holes_end].cast("q")
         try:
-            codes_end = handle.codes_bytes
-            holes_end = codes_end + handle.holes_bytes
-            values_end = holes_end + handle.values_bytes
-            codes = view[:codes_end].cast("i")
-            holes = view[codes_end:holes_end].cast("q")
-            try:
-                if handle.values_bytes:
-                    values = pickle.loads(bytes(view[holes_end:values_end]))
-                else:
-                    values = []
-                packed = PackedTree(
-                    codes, values, holes, handle.root_symbol, handle._size_bytes
-                )
-                return unpack(grammar, packed)
-            finally:
-                codes.release()
-                holes.release()
+            values = pickle.loads(bytes(view[holes_end : holes_end + values_bytes]))
+            return unpack(grammar, PackedTree(codes, values, holes, root_symbol, size_bytes))
         finally:
+            codes.release()
+            holes.release()
             view.release()
     finally:
         memory.close()

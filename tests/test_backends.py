@@ -191,9 +191,9 @@ class TestPrecompiledTablesParity:
 
 
 class TestCompiledPlansParity:
-    """Plan-compiled evaluators and the zero-copy ship must be invisible in the
-    output: every knob combination reproduces the seed dict path exactly — same
-    code, same attributes, same statistics — on every substrate."""
+    """Plan-compiled evaluators must be invisible in the output: every knob
+    combination reproduces the seed dict path exactly — same code, same
+    attributes, same statistics — on every substrate."""
 
     ALL_BACKENDS = ["simulated"] + REAL_BACKENDS
 
@@ -231,18 +231,6 @@ class TestCompiledPlansParity:
     def test_pascal_matches_seed_reference(self, pascal_case, backend, compiled):
         grammar, tree, reference = pascal_case
         configuration = CompilerConfiguration(use_compiled_plans=compiled)
-        report = ParallelCompiler(grammar, configuration).compile_tree(
-            tree, 4, backend=backend
-        )
-        self._assert_matches(report, reference, backend)
-
-    @pytest.mark.parametrize("zero_copy", [True, False], ids=["zero-copy", "mailbox"])
-    @pytest.mark.parametrize("backend", ["processes"], ids=["processes"])
-    def test_zero_copy_knob_is_invisible(self, pascal_case, backend, zero_copy):
-        if not _fork_available():
-            pytest.skip("processes backend requires the fork start method")
-        grammar, tree, reference = pascal_case
-        configuration = CompilerConfiguration(use_zero_copy_ship=zero_copy)
         report = ParallelCompiler(grammar, configuration).compile_tree(
             tree, 4, backend=backend
         )

@@ -4,8 +4,8 @@ The chaos invariant, verified cell by cell over ``fault class x substrate``:
 under any injected fault the compile either returns the **byte-identical**
 result of a fault-free run or raises a **typed** error (:class:`FaultError`,
 :class:`BackendError`, :class:`DeadlineExceeded`) within its deadline — never a
-hang, never a silent wrong answer, never a leaked worker or shm segment (the
-autouse conftest fixture checks segment leaks after every cell).
+hang, never a silent wrong answer, never a leaked worker (the autouse conftest
+fixture checks for leftover child processes after every cell).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.service import CompilationJob, CompilationService
-from repro.tree import shm
 
 TIMEOUT = 20.0
 
@@ -247,8 +246,6 @@ FAULT_RULES = {
                                        times=1, after=2)],
     "worker-crash": lambda: [FaultRule("worker.crash", action="crash",
                                        times=1, after=0)],
-    "shm-attach-failure": lambda: [FaultRule("shm.attach", action="error",
-                                             times=1)],
     "cache-poison": lambda: [FaultRule("cache.get", action="poison", times=1)],
     "deadline-expiry": lambda: [],
 }
@@ -554,11 +551,6 @@ class TestProcessesCrashRecovery:
             for pid in pids:
                 if _running(pid):
                     os.kill(pid, signal.SIGKILL)
-            # The dead driver could not unlink what it had shipped; once its workers
-            # are gone too, the interpreter's resource tracker does it for them.
-            patience = time.monotonic() + 5.0
-            while shm.system_segment_names() and time.monotonic() < patience:
-                time.sleep(0.05)
 
     def test_spawn_fault_is_a_typed_failure_not_a_hang(
         self, split_grammar, chaos_tree

@@ -1,37 +1,33 @@
-"""Tests for zero-copy region shipping: shared-memory segments and their lifetime.
+"""Tests for :mod:`repro.tree.shm`: a packed region round-tripped through a segment.
 
-The invariant under test everywhere: segment lifetime is owned by the shipping
-session — created at ship, unlinked at settle/abort/shutdown — and a segment never
-survives a compile, *including* failure paths.  ``tests/conftest.py`` additionally
-asserts after every test (suite-wide) that no ship segment is still registered
-in-process or present on ``/dev/shm``.
+The module is a fixture of the ledger's traced ``paper_sweep`` micro-benchmark;
+no substrate ships through it.  What is checked: the round trip rebuilds the
+tree ``unpack`` rebuilds, ``release`` really unlinks and may be repeated, and no
+step starts ``multiprocessing.resource_tracker``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
-from repro.distributed.compiler import CompilerConfiguration, ParallelCompiler
+from repro.distributed.compiler import ParallelCompiler
 from repro.exprlang.evaluator import random_expression_source
 from repro.exprlang.frontend import parse_expression
 from repro.exprlang.grammar import expression_grammar
 from repro.tree import shm
-from repro.tree.linearize import pack, rebuild, unpack
+from repro.tree.linearize import pack, unpack
 
-pytestmark = pytest.mark.skipif(
-    not shm.shared_memory_available(), reason="platform lacks shared memory"
-)
-
-
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 requires_fork = pytest.mark.skipif(
-    not _fork_available(), reason="processes backend requires the fork start method"
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="processes backend requires the fork start method",
 )
 
 
@@ -46,13 +42,44 @@ def big_tree(split_grammar):
     return parse_expression(source, split_grammar)
 
 
+def _on_dev_shm(name: str) -> bool:
+    return os.path.exists(os.path.join("/dev/shm", name))
+
+
+def _run_isolated(script: str) -> str:
+    """Run ``script`` in a fresh interpreter with ``src`` on the path; its stdout."""
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [entry for entry in [environment.get("PYTHONPATH")] if entry]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=environment, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+#: Prints whether this interpreter started a resource tracker and which children
+#: it still has.
+_CENSUS = """
+import os
+from multiprocessing import resource_tracker
+children = set()
+for task in os.listdir("/proc/self/task"):
+    with open(f"/proc/self/task/{task}/children") as listing:
+        children.update(listing.read().split())
+print(resource_tracker._resource_tracker._pid, sorted(children))
+"""
+
+
 class TestShareAndRebuild:
     def test_roundtrip_matches_unpack(self, split_grammar, big_tree):
         packed = pack(split_grammar, big_tree)
         handle, segment = shm.share_packed(packed)
         try:
-            assert handle.size_bytes() == packed.size_bytes()
-            shared_root, shared_holes = rebuild(split_grammar, handle)
+            assert handle[-1] == packed.size_bytes()
+            shared_root, shared_holes = shm.rebuild_shared(split_grammar, handle)
             packed_root, packed_holes = unpack(
                 split_grammar, pack(split_grammar, big_tree)
             )
@@ -73,11 +100,10 @@ class TestShareAndRebuild:
         handle, segment = shm.share_packed(packed)
         try:
             wire = pickle.dumps(handle)
-            # The whole point of the handle: the region does not ride the mailbox.
             assert len(wire) < 256
             assert len(wire) < len(pickle.dumps(packed))
             clone = pickle.loads(wire)
-            root, _holes = clone.rebuild(split_grammar)
+            root, _holes = shm.rebuild_shared(split_grammar, clone)
             assert root.symbol.name == big_tree.symbol.name
         finally:
             segment.release()
@@ -85,138 +111,40 @@ class TestShareAndRebuild:
     def test_rebuild_after_unlink_while_mapped_is_not_required(
         self, split_grammar, big_tree
     ):
-        """Release before any rebuild: the segment is gone and attaching fails.
-
-        (The production ordering is the reverse — workers attach while the parser
-        still holds the link — but this pins down that release really unlinks.)
-        """
+        """Release before any rebuild: the segment is gone and attaching fails."""
         handle, segment = shm.share_packed(pack(split_grammar, big_tree))
         segment.release()
         with pytest.raises((FileNotFoundError, OSError)):
-            rebuild(split_grammar, handle)
+            shm.rebuild_shared(split_grammar, handle)
 
 
 class TestSegmentLifecycle:
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
     def test_share_registers_and_release_unregisters(self, split_grammar, big_tree):
         handle, segment = shm.share_packed(pack(split_grammar, big_tree))
-        assert handle.segment_name in shm.live_segment_names()
-        assert handle.segment_name in shm.system_segment_names()
+        assert _on_dev_shm(handle[0])
         segment.release()
-        assert handle.segment_name not in shm.live_segment_names()
-        assert handle.segment_name not in shm.system_segment_names()
+        assert not _on_dev_shm(handle[0])
 
     def test_release_is_idempotent(self, split_grammar, big_tree):
         _handle, segment = shm.share_packed(pack(split_grammar, big_tree))
         segment.release()
         segment.release()  # must not raise
 
-    def test_release_tolerates_external_unlink(self, split_grammar, big_tree):
-        handle, segment = shm.share_packed(pack(split_grammar, big_tree))
-        foreign = shm._attach(handle.segment_name)
-        foreign.unlink()
-        foreign.close()
-        segment.release()  # FileNotFoundError swallowed
-        assert handle.segment_name not in shm.live_segment_names()
-
-    @requires_fork
-    def test_backend_close_releases_adopted_segments(self, split_grammar, big_tree):
-        from repro.backends import create_backend
-
-        backend = create_backend("processes", machines=2)
-        try:
-            assert backend.shared_ship
-            handle, segment = shm.share_packed(pack(split_grammar, big_tree))
-            backend.adopt_segment(segment)
-        finally:
-            backend.close()
-        assert handle.segment_name not in shm.live_segment_names()
-        assert handle.segment_name not in shm.system_segment_names()
-
-    def test_only_processes_substrate_advertises_shared_ship(self):
-        from repro.backends import create_backend
-
-        for name in ("simulated", "threads", "sockets"):
-            backend = create_backend(name, machines=2)
-            try:
-                assert not getattr(backend, "shared_ship", False)
-            finally:
-                backend.close()
-
 
 class TestShipFaultInjection:
-    """Failure paths must not leak segments, and refusals must fall back."""
+    """No substrate ships a region through shared memory."""
 
     @requires_fork
-    def test_oserror_falls_back_to_packed_bytes(
-        self, split_grammar, big_tree, monkeypatch
-    ):
-        def refuse(packed):
-            raise OSError("injected: /dev/shm exhausted")
+    def test_processes_never_ships_segments(self, split_grammar, big_tree, monkeypatch):
+        def forbidden(packed):  # pragma: no cover - the assertion is the point
+            raise AssertionError("the processes substrate must not ship shared memory")
 
-        monkeypatch.setattr(shm, "share_packed", refuse)
-        compiler = ParallelCompiler(split_grammar)
-        report = compiler.compile_tree(big_tree, 4, backend="processes")
-        reference = compiler.compile_tree(big_tree, 4)
-        assert report.root_attributes["value"] == reference.root_attributes["value"]
-        assert shm.live_segment_names() == []
-
-    @requires_fork
-    def test_ship_failure_releases_earlier_segments(
-        self, split_grammar, big_tree, monkeypatch
-    ):
-        """A crash after some regions already shipped zero-copy: the session's
-        close (the compile_tree finally) must release every adopted segment."""
-        real = shm.share_packed
-        calls = {"count": 0}
-
-        def explode_on_second(packed):
-            calls["count"] += 1
-            if calls["count"] >= 2:
-                raise RuntimeError("injected ship failure")
-            return real(packed)
-
-        monkeypatch.setattr(shm, "share_packed", explode_on_second)
-        compiler = ParallelCompiler(split_grammar)
-        with pytest.raises(RuntimeError, match="injected ship failure"):
-            compiler.compile_tree(big_tree, 4, backend="processes")
-        assert calls["count"] >= 2  # at least one segment was created, then the crash
-        assert shm.live_segment_names() == []
-        assert shm.system_segment_names() == []
-
-    @requires_fork
-    def test_zero_copy_disabled_by_configuration(
-        self, split_grammar, big_tree, monkeypatch
-    ):
-        calls = {"count": 0}
-        real = shm.share_packed
-
-        def counting(packed):
-            calls["count"] += 1
-            return real(packed)
-
-        monkeypatch.setattr(shm, "share_packed", counting)
-        configuration = CompilerConfiguration(use_zero_copy_ship=False)
-        ParallelCompiler(split_grammar, configuration).compile_tree(
-            big_tree, 4, backend="processes"
-        )
-        assert calls["count"] == 0
-
-    @requires_fork
-    def test_zero_copy_engaged_on_processes(self, split_grammar, big_tree, monkeypatch):
-        calls = {"count": 0}
-        real = shm.share_packed
-
-        def counting(packed):
-            calls["count"] += 1
-            return real(packed)
-
-        monkeypatch.setattr(shm, "share_packed", counting)
+        monkeypatch.setattr(shm, "share_packed", forbidden)
         report = ParallelCompiler(split_grammar).compile_tree(
             big_tree, 4, backend="processes"
         )
-        # Every region of the decomposition ships as a segment handle.
-        assert calls["count"] == report.decomposition.region_count
-        assert shm.live_segment_names() == []
+        assert report.root_attributes["value"] is not None
 
     def test_sockets_never_ships_segments(self, split_grammar, big_tree, monkeypatch):
         def forbidden(packed):  # pragma: no cover - the assertion is the point
@@ -227,3 +155,55 @@ class TestShipFaultInjection:
             big_tree, 4, backend="sockets"
         )
         assert report.root_attributes["value"] is not None
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+class TestNoResourceTracker:
+    """Nothing the product or the benchmark fixture does starts the tracker.
+
+    Each check runs in a fresh interpreter, so a tracker started by anything else
+    in this test process cannot hide or fake the result.
+    """
+
+    @requires_fork
+    def test_processes_compiles_start_no_tracker(self):
+        out = _run_isolated(
+            """
+from repro import Session
+from repro.distributed.compiler import ParallelCompiler
+from repro.exprlang.evaluator import random_expression_source
+from repro.exprlang.frontend import parse_expression
+from repro.exprlang.grammar import expression_grammar
+from repro.pascal.programs import generate_program
+
+with Session(backend="processes", machines=2) as session:
+    result = session.compile("pascal", generate_program(procedures=8))
+    assert result.report.decomposition.region_count == 2
+grammar = expression_grammar(min_split_size=60)
+tree = parse_expression(random_expression_source(120, seed=5, nesting=5), grammar)
+ParallelCompiler(grammar).compile_tree(tree, 2, backend="processes")
+"""
+            + _CENSUS
+        )
+        assert out.split() == ["None", "[]"]
+
+    def test_share_rebuild_release_starts_no_tracker(self):
+        out = _run_isolated(
+            """
+from repro.exprlang.evaluator import random_expression_source
+from repro.exprlang.frontend import parse_expression
+from repro.exprlang.grammar import expression_grammar
+from repro.tree import shm
+from repro.tree.linearize import pack
+
+grammar = expression_grammar(min_split_size=60)
+tree = parse_expression(random_expression_source(120, seed=5, nesting=5), grammar)
+handle, segment = shm.share_packed(pack(grammar, tree))
+try:
+    shm.rebuild_shared(grammar, handle)
+finally:
+    segment.release()
+"""
+            + _CENSUS
+        )
+        assert out.split() == ["None", "[]"]

@@ -23,6 +23,7 @@ from repro import Compiler, Session
 from repro.backends import create_substrate
 from repro.backends.sockets import SocketsSubstrate
 from repro.cluster.worker import ClusterWorker
+from repro.exprlang.evaluator import random_expression_source
 from repro.faults import FaultPlan, FaultRule, active
 from repro.incremental.cache import (
     ArtifactCache,
@@ -459,6 +460,43 @@ class TestWarmStartPlumbing:
             cache = session.artifact_cache
             assert cache.store_hits > 0
         assert second.value == first.value
+
+    def test_closed_sessions_leave_no_store_writer(self, tmp_path):
+        def writers():
+            return {
+                thread for thread in threading.enumerate()
+                if thread.name == "repro-artifact-store-writer"
+            }
+
+        source = random_expression_source(120, seed=5, nesting=5)
+        before = writers()
+        for _ in range(5):
+            with Session(backend="threads", store=str(tmp_path)) as session:
+                doc = session.open("exprlang", source, machines=4)
+                doc.recompile()
+        # No gc.collect(): closing the session must retire its writer itself.
+        assert writers() - before == set()
+        with Session(backend="threads", store=str(tmp_path)) as session:
+            report = session.open("exprlang", source, machines=4).recompile().incremental
+            # Every region but the root (which always re-evaluates) replays from
+            # what the closed sessions flushed to the store.
+            assert report.regions_total > 1
+            assert report.regions_reused == report.regions_total - 1
+            assert session.artifact_cache.store_hits == report.regions_reused
+
+    def test_service_closes_only_the_cache_it_created(self, tmp_path):
+        job = CompilationJob(language="exprlang", source=EXPR_SOURCE)
+        borrowed = ArtifactCache(store=str(tmp_path))
+        with create_substrate("threads") as substrate:
+            owned = CompilationService(substrate, store=str(tmp_path))
+            with owned:
+                owned.submit(job).result(60)
+            assert owned._artifact_cache._writer is None
+            with CompilationService(substrate, artifact_cache=borrowed) as service:
+                service.submit(job).result(60)
+            assert borrowed._writer is not None and borrowed._writer.is_alive()
+        borrowed.close()
+        assert borrowed._writer is None
 
     def test_session_open_store_overrides_session_cache(self, tmp_path):
         self._compile_documents(tmp_path)
