@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Run the parallel compiler on real OS threads and OS processes.
+"""Run the parallel compiler on real OS threads, OS processes and a loopback cluster.
 
 Every figure in the paper reproduction runs on the deterministic simulated cluster;
 this example runs the *same* distributed protocol — same parser, evaluators, string
-librarian, same messages — on the two real substrates and checks that all three agree
-byte-for-byte on the generated code, printing wall-clock timings for each.
+librarian, same messages — as a one-shot compile on each real substrate (a private
+pool or cluster, started for the compile and shut down after it) and checks that all
+of them agree byte-for-byte on the generated code, printing wall-clock timings for
+each.  Exits non-zero on any mismatch.
 
 Run with::
 
@@ -30,6 +32,7 @@ def main() -> None:
         backends.append("processes")
     else:
         print("(processes backend skipped: no fork start method on this platform)")
+    backends.append("sockets")
 
     reports = {}
     for backend in backends:

@@ -12,14 +12,12 @@ Four implementations of the same :class:`~repro.backends.base.Backend` interface
   coordinator: consistent-hash sharding, heartbeats, and region reassignment
   that survives killing a worker mid-compile.
 
-Each comes in two lifecycles:
-
-* **one-shot** (:func:`create_backend`): build → spawn → run → discard, exactly the
-  original semantics — ``ParallelCompiler(grammar, backend="processes")`` or per call
-  with ``compile_tree(..., backend="threads")``;
-* **pooled** (:func:`create_substrate`): a persistent :class:`Substrate` whose worker
-  pool and mailbox registry survive across compilations —
-  ``compile_tree(..., substrate=pool)`` or the :mod:`repro.service` layer on top.
+Each is a persistent :class:`Substrate` (:func:`create_substrate`): a worker pool and
+mailbox registry that survive across compilations and hand out one run session per
+compile — ``compile_tree(..., substrate=pool)`` or the :mod:`repro.service` layer on
+top.  A one-shot compile (:func:`create_backend`, ``ParallelCompiler(grammar,
+backend="processes")``) is the same substrate, private to one session: started, used
+once and shut down when the run ends (:meth:`Substrate.one_shot`).
 """
 
 from __future__ import annotations
@@ -37,10 +35,10 @@ from repro.backends.base import (
     Substrate,
     WorkerJob,
 )
-from repro.backends.processes import ProcessesBackend, ProcessesSubstrate
-from repro.backends.simulated import SimulatedBackend, SimulatedSubstrate
-from repro.backends.sockets import SocketsBackend, SocketsSubstrate
-from repro.backends.threads import ThreadsBackend, ThreadsSubstrate
+from repro.backends.processes import ProcessesSubstrate
+from repro.backends.simulated import SimulatedSession, SimulatedSubstrate
+from repro.backends.sockets import SocketsSubstrate
+from repro.backends.threads import ThreadsSubstrate
 from repro.runtime.cost import CostModel
 from repro.runtime.network import NetworkParameters
 
@@ -56,23 +54,22 @@ def create_backend(
     machine_speeds: Optional[List[float]] = None,
     receive_timeout: Optional[float] = None,
 ) -> Backend:
-    """Instantiate the one-shot backend called ``name``.
+    """Open a one-shot run session on a private substrate called ``name``.
 
-    ``machines``/``network``/``cost_model``/``machine_speeds`` parameterise the
-    simulated cluster and are ignored by the real substrates; ``receive_timeout``
-    bounds blocking receives on the real substrates and is ignored by the simulator.
+    The substrate is started here and shut down when the session's ``run()`` returns
+    or raises, or on ``close()``.  ``machines``/``network``/``cost_model``/
+    ``machine_speeds`` parameterise the simulated cluster and are ignored by the real
+    substrates; ``receive_timeout`` bounds blocking receives on the real substrates and
+    is ignored by the simulator.
     """
-    if name == "simulated":
-        return SimulatedBackend(
-            machines, network=network, cost_model=cost_model, machine_speeds=machine_speeds
-        )
-    if name == "threads":
-        return ThreadsBackend() if receive_timeout is None else ThreadsBackend(receive_timeout)
-    if name == "processes":
-        return ProcessesBackend() if receive_timeout is None else ProcessesBackend(receive_timeout)
-    if name == "sockets":
-        return SocketsBackend(receive_timeout=receive_timeout)
-    raise ValueError(f"unknown backend {name!r}; choose from {BACKEND_NAMES}")
+    substrate = create_substrate(
+        name,
+        network=network,
+        cost_model=cost_model,
+        machine_speeds=machine_speeds,
+        receive_timeout=receive_timeout,
+    )
+    return substrate.one_shot(machines, receive_timeout=receive_timeout)
 
 
 def create_substrate(
@@ -110,16 +107,13 @@ __all__ = [
     "BACKEND_NAMES",
     "Compute",
     "Mailbox",
-    "ProcessesBackend",
     "ProcessesSubstrate",
     "Receive",
     "SharedBundle",
-    "SimulatedBackend",
+    "SimulatedSession",
     "SimulatedSubstrate",
-    "SocketsBackend",
     "SocketsSubstrate",
     "Substrate",
-    "ThreadsBackend",
     "ThreadsSubstrate",
     "WorkerJob",
     "create_backend",

@@ -28,9 +28,9 @@ The contract is split in two layers:
   Sessions are created with :meth:`Substrate.session` and torn down with
   :meth:`Backend.close` (idempotent, safe on every error path).
 
-The legacy one-shot classes (``SimulatedBackend``, ``ThreadsBackend``,
-``ProcessesBackend``) remain: they are sessions bound to a private single-use
-substrate, preserving the original create→spawn→run API byte-for-byte.
+There is one lifecycle.  A one-shot compile is a substrate of its own, started, used
+for one session and shut down (:meth:`Substrate.one_shot`); the rule for when it goes
+down is :meth:`Backend.run` / :meth:`Backend.close`, the same for every substrate.
 """
 
 from __future__ import annotations
@@ -112,10 +112,10 @@ class WorkerJob:
     ``factory(transport, **kwargs, **shared)`` must return the request generator to
     drive; it is called with the session (or, on pooled process workers, a child-side
     transport proxy) as its first argument.  In-process substrates materialise the body
-    immediately; the pooled processes substrate pickles the job and rebuilds the body
-    inside a long-lived worker, which is why ``factory`` must be a module-level callable
-    and ``kwargs`` must pickle (``Mailbox`` values are translated to registry indexes
-    automatically, including inside dicts/lists/tuples).
+    immediately; the processes and sockets substrates pickle the job and rebuild the
+    body inside a long-lived worker, which is why ``factory`` must be a module-level
+    callable and ``kwargs`` must pickle (``Mailbox`` values are translated to registry
+    indexes automatically, including inside dicts/lists/tuples).
 
     ``shared`` holds large immutable objects (grammars, evaluation plans) that pooled
     workers cache and reuse: each worker receives the pickled payload once and reuses
@@ -128,7 +128,7 @@ class WorkerJob:
     shared: Mapping[str, Any] = field(default_factory=dict)
 
     def materialize(self, transport: Any) -> Generator:
-        """Build the process body in-process (non-pooled and in-memory substrates)."""
+        """Build the process body in the driving process (in-process substrates)."""
         shared = {
             name: value.payload if isinstance(value, SharedBundle) else value
             for name, value in self.shared.items()
@@ -162,6 +162,9 @@ class Backend(abc.ABC):
     the wall-clock seconds spent.  ``close()`` tears the session down and must be
     called on every path — including when ``run()`` or result collection raised — so
     that no worker thread or forked process outlives a failed compilation.
+
+    Substrates implement :meth:`_run` and :meth:`_close`; ``run()`` and ``close()``
+    add the run-once and close-once guards and the one-shot ownership rule on top.
     """
 
     #: Short name used by the ``backend=`` knob of the parallel compiler.
@@ -175,6 +178,10 @@ class Backend(abc.ABC):
     def __init__(self) -> None:
         self._reports: Dict[int, Any] = {}
         self._worker_count = 0
+        #: The substrate this session owns (:meth:`Substrate.one_shot`), if any.
+        self._owned: Optional["Substrate"] = None
+        self._ran = False
+        self._closed = False
 
     # ----------------------------------------------------------------- plumbing
 
@@ -213,9 +220,24 @@ class Backend(abc.ABC):
         to charge network time, real backends only for diagnostics.
         """
 
-    @abc.abstractmethod
     def run(self) -> float:
-        """Execute all spawned bodies to completion; return wall-clock seconds."""
+        """Execute all spawned bodies to completion; return wall-clock seconds.
+
+        A session that owns its substrate shuts it down when this returns or raises:
+        reports, telemetry and the clock stay readable on the session.
+        """
+        if self._ran:
+            raise BackendError("a run session can only be run once")
+        self._ran = True
+        try:
+            return self._run()
+        finally:
+            if self._owned is not None:
+                self.close()
+
+    @abc.abstractmethod
+    def _run(self) -> float:
+        """The substrate's run: drive every spawned body to completion."""
 
     # -------------------------------------------------------------------- clock
 
@@ -233,8 +255,8 @@ class Backend(abc.ABC):
         """Make a worker's final report visible to the coordinator.
 
         Runs out-of-band (not through the modelled network) so that publishing results
-        never perturbs modelled timings; the processes backend overrides this to ship
-        the report across the OS-process boundary.
+        never perturbs modelled timings; a pooled process worker's transport ships the
+        report across the OS-process boundary instead.
         """
         self._reports[region_id] = report
 
@@ -257,10 +279,21 @@ class Backend(abc.ABC):
     def close(self) -> None:
         """Tear the session down (idempotent; safe before, during and after ``run``).
 
-        On a pooled substrate this aborts any of the session's still-running bodies and
-        returns leased mailboxes to the registry; on a one-shot backend it joins or
-        terminates the private worker pool.  The substrate itself stays alive.
+        This aborts any of the session's still-running bodies and returns leased
+        mailboxes to the registry.  The substrate stays alive, unless the session owns
+        it: then it is shut down here too.
         """
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            self._close()
+        finally:
+            if self._owned is not None:
+                self._owned.shutdown()
+
+    def _close(self) -> None:
+        """The substrate's teardown of this session; called at most once."""
 
     def __enter__(self) -> "Backend":
         return self
@@ -284,7 +317,7 @@ class Substrate(abc.ABC):
     the :mod:`repro.service` layer builds on.
     """
 
-    #: Short name matching the ``backend=`` knob ("simulated", "threads", "processes").
+    #: Short name matching the ``backend=`` knob (one of ``BACKEND_NAMES``).
     name: str = "abstract"
 
     def __init__(self) -> None:
@@ -311,6 +344,21 @@ class Substrate(abc.ABC):
         themselves from the bodies actually spawned); ``receive_timeout`` overrides the
         substrate's blocking-receive bound for this session only.
         """
+
+    def one_shot(self, machines: int, *, receive_timeout: Optional[float] = None) -> Backend:
+        """Start this substrate and open the one session that owns it.
+
+        The substrate is shut down when that session's ``run()`` returns or raises,
+        and on its ``close()`` — and here, if it cannot be started or opened.
+        """
+        try:
+            self.start()
+            session = self.session(machines, receive_timeout=receive_timeout)
+        except BaseException:
+            self.shutdown()
+            raise
+        session._owned = self
+        return session
 
     @property
     def sessions_opened(self) -> int:

@@ -5,55 +5,35 @@ fragments, descriptors, results — is pickled by its sender and unpickled by it
 reader, exactly like bytes on a wire; a message between two bodies of the driving
 process is handed over as the object it is.
 
-Two lifecycles are provided:
+:class:`ProcessesSubstrate` is a pool of long-lived forked workers, each reading
+picklable :class:`~repro.backends.base.WorkerJob` specs from a pipe of its own, so fork
+cost is paid once, not per compile; grammar + plan bundles ship to each worker once and
+are cached there by key.  The pool grows on demand and serves many concurrent run
+sessions; a one-shot compile is a private pool, started, used once and shut down.
 
-* :class:`ProcessesSubstrate` — the persistent pool.  ``start()`` forks long-lived
-  worker processes that read *job specs* (picklable :class:`~repro.backends.base.WorkerJob`
-  descriptions, not generators) from a pipe of their own and survive across
-  compilations, so fork cost is paid once, not per compile.  Large immutable objects
-  (grammar + evaluation plan bundles) are shipped to each worker once and cached there
-  by key.  The pool grows on demand (``fork`` start method), and many run sessions may
-  be in flight concurrently.  Its message plane:
+- **worker → parent**: each worker pickles every record (``send``, ``claim``,
+  ``report``, then ``done``/``aborted``/``error``) straight into its own one-way pipe,
+  from its only thread and without a lock: killing it can only cut its own stream.
+- **dispatcher**: one parent thread sleeps in ``multiprocessing.connection.wait`` over
+  every record pipe and process sentinel (plus a wake pipe), routing records as they
+  land and handling deaths as they happen.  A worker's message is routed as the bytes
+  the worker pickled; only the mailbox's reader unpickles it.
+- **mailboxes** are leased per session and bound by their first reader.  A body of
+  the driving process (parser, librarian, replay) reads an in-process
+  ``queue.SimpleQueue``; a worker job reads one of a fixed registry of
+  ``multiprocessing.Queue`` slots created before the first fork, so every child
+  inherits every handle, written only by the parent.  Every delivery is logged, and
+  the log is handed to the reader when it binds — and replayed into a fresh slot for
+  a job re-executed after its worker died.
+- **lifetime**: a child closes every pipe end that belongs to the parent, so its pipes
+  reach EOF exactly when the driving process dies or shuts the pool down, and the
+  worker exits.  ``shutdown()`` joins every worker and closes every pipe, registry
+  queue and feeder thread the pool made, on every path.
 
-  - **worker → parent**: every worker owns the write end of one one-way pipe,
-    created at its fork.  Each record (``send``, ``claim``, ``report`` and the final
-    ``done``/``aborted``/``error``) is pickled and written by the call that produces
-    it, so it is on the wire when the call returns.  A worker runs one thread and
-    takes no lock to write: killing it can only truncate its own stream.
-  - **dispatcher**: one parent thread sleeps in ``multiprocessing.connection.wait``
-    over every worker's pipe and process sentinel (plus a wake pipe for pool
-    changes and shutdown); a record is routed when it lands and a death is handled
-    when it happens.  It routes a worker's message without opening it: the message
-    travels inside its record as the bytes the worker pickled, and whoever reads the
-    mailbox unpickles them — so the time the dispatcher spends on a record does
-    not grow with the message (a thread woken by a pipe write tends to run on the
-    writer's core, and the writer waits it out).
-  - **mailboxes** are leased per session.  A mailbox read by a coordinator body in
-    the driving process (parser, librarian, replay bodies) is a ``queue.SimpleQueue``
-    inside that process: what another coordinator sends arrives as the object
-    itself, what a worker sends as its pickled bytes, nothing crosses a pipe again.
-    A mailbox read by a worker job is one of a fixed registry of
-    ``multiprocessing.Queue`` slots created before the first fork (so every child
-    inherits every handle it will need), written only by the parent and buffered
-    there, so the dispatcher never waits for a worker to read.  Which of the two a
-    mailbox is, is decided by its first reader: every delivery is logged, and the
-    log is handed over when a coordinator first reads the mailbox or a worker's
-    ``claim`` for it arrives.
-  - **lifetime**: a child closes every pipe end that belongs to the parent, so the
-    pipes reach end-of-file exactly when the driving process is gone (or shuts the
-    pool down).  An idle worker then reads EOF on its job pipe, a busy one finds its
-    record pipe broken or sees the EOF while waiting on a mailbox; all of them exit.
-
-* :class:`ProcessesBackend` — the legacy one-shot API.  Workers are forked *after*
-  the coordinator has built the grammar and every process body, so the process bodies
-  are inherited copy-on-write and never serialised; this is the only processes path
-  that can run arbitrary in-memory generators (and unpicklable grammars).  Its
-  mailboxes and its control channel are ``multiprocessing.Queue`` instances.
-
-Placement (both lifecycles): worker bodies (the evaluators) execute on forked OS
-processes; coordinator bodies (parser, librarian) run on threads inside the driving
-process, where they can share the compilation outcome with the caller.  Worker reports
-come back out-of-band via ``publish_report``.
+Worker bodies (the evaluators) run in the forked workers; coordinator bodies run on
+threads of the driving process, where they share the outcome with the caller.  A
+worker body must be a :class:`WorkerJob` whose factory and arguments pickle; raw
+generator bodies run on the threads substrate.
 
 Requires a POSIX ``fork`` start method (Linux/macOS); on platforms without it,
 construction raises :class:`BackendError` — use the threads backend there.
@@ -67,7 +47,6 @@ import multiprocessing.connection
 import os
 import pickle
 import queue as queue_module
-import sys
 import threading
 import time
 import traceback
@@ -115,6 +94,31 @@ def _close_parent_ends(*ends: Any) -> None:
         _PARENT_ENDS.difference_update(ends)
     for end in ends:
         end.close()
+
+
+def _close_queue(fifo: Any) -> None:
+    """Let go of a ``multiprocessing.Queue``: drain it, stop its feeder, close both ends.
+
+    ``close()`` alone stops only a started feeder; a queue never written to would keep
+    its pipe ends open until the collector found it.
+    """
+    try:
+        drain_fifo(fifo)
+    except (OSError, ValueError):
+        pass  # closed already, or its read end is gone
+    fifo.close()
+    fifo.join_thread()
+    fifo._reader.close()
+    fifo._writer.close()
+
+
+def _reap(process: Any) -> None:
+    """Join a worker process, killing it if it outstays 5 s, and free its sentinel."""
+    process.join(timeout=5.0)
+    if process.is_alive():
+        process.kill()
+        process.join()
+    process.close()
 
 
 def _drop_parent_ends() -> None:
@@ -529,6 +533,8 @@ class ProcessesSubstrate(Substrate):
         #: queue for these indexes, so re-leasing them could silently split a
         #: mailbox across two queues.  Recovery is rare; leaking a slot is safe.
         self._retired_slots: Set[int] = set()
+        #: The queues those slots held, kept only to be closed at shutdown.
+        self._retired_queues: List[Any] = []
         self._respawns = 0
         self._wake_reader: Optional[Any] = None
         self._wake_writer: Optional[Any] = None
@@ -545,26 +551,33 @@ class ProcessesSubstrate(Substrate):
     # ---------------------------------------------------------------- lifecycle
 
     def start(self) -> "ProcessesSubstrate":
-        with self._lock:
-            if self._stopped:
-                raise BackendError("processes substrate has been shut down")
-            if self._started:
-                return self
-            self._started = True
-            self._wake_reader, self._wake_writer = self._context.Pipe(duplex=False)
-            with _FORK_LOCK:
-                _PARENT_ENDS.update((self._wake_reader, self._wake_writer))
-            # The whole mailbox registry is created before the first fork so every
-            # worker — including ones forked later to grow the pool — inherits every
-            # transport handle a session could ever lease.
-            self._registry = [self._context.Queue() for _ in range(self.mailbox_capacity)]
-            self._free_mailboxes = list(range(self.mailbox_capacity))
-            for _ in range(self._initial_workers):
-                self._fork_worker_locked()
-            self._dispatcher = threading.Thread(
-                target=self._dispatch_loop, name="repro-pool-dispatcher", daemon=True
-            )
-            self._dispatcher.start()
+        try:
+            with self._lock:
+                if self._stopped:
+                    raise BackendError("processes substrate has been shut down")
+                if self._started:
+                    return self
+                self._started = True
+                self._wake_reader, self._wake_writer = self._context.Pipe(duplex=False)
+                with _FORK_LOCK:
+                    _PARENT_ENDS.update((self._wake_reader, self._wake_writer))
+                # The whole mailbox registry is created before the first fork so
+                # every worker — including ones forked later to grow the pool —
+                # inherits every transport handle a session could ever lease.
+                for _ in range(self.mailbox_capacity):
+                    self._registry.append(self._context.Queue())
+                self._free_mailboxes = list(range(self.mailbox_capacity))
+                for _ in range(self._initial_workers):
+                    self._fork_worker_locked()
+                self._dispatcher = threading.Thread(
+                    target=self._dispatch_loop, name="repro-pool-dispatcher", daemon=True
+                )
+                self._dispatcher.start()
+        except BaseException:
+            # A pool that came up halfway (a refused fork, no fds left) is torn
+            # down here: a caller whose start() raised never reaches shutdown().
+            self.shutdown()
+            raise
         return self
 
     def shutdown(self) -> None:
@@ -575,39 +588,50 @@ class ProcessesSubstrate(Substrate):
             self._stopped = True
             workers = list(self._workers)
             sessions = list(self._sessions.values())
-        for session in sessions:
-            # Fail the whole in-flight run, not just its receives: the dispatcher is
-            # about to exit, so the workers' final records will never be routed —
-            # without an error and a completed jobs-event, run() would wait on those
-            # records forever (or, worse, report an aborted run as success).
-            with session._lock:
-                session._errors.append(
-                    ("substrate", "processes substrate was shut down mid-run")
-                )
-            session._failed.set()
-            session._jobs_event.set()
-        for worker in workers:
-            # Abort flags must be set BEFORE the mailboxes are woken: a worker roused
-            # by a token re-checks its abort event and must find it already flipped,
-            # or it would go straight back to sleep with no second wake coming.
-            if worker.process.is_alive():
-                worker.abort_event.set()
-        for session in sessions:
-            session._wake_mailboxes("processes substrate shut down")
-        self._wake_dispatcher()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=5.0)
-        # Letting go of the pipes is the stop signal: an idle worker reads EOF on its
-        # job pipe and returns; one still unwinding a job finds its record pipe
-        # broken, or sees the EOF from its mailbox wait, and exits just the same.
-        for worker in workers:
-            _close_parent_ends(worker.jobs, worker.records)
-        for worker in workers:
-            worker.process.join(timeout=5.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=5.0)
-        _close_parent_ends(self._wake_reader, self._wake_writer)
+        try:
+            for session in sessions:
+                # Fail the whole in-flight run, not just its receives: the dispatcher is
+                # about to exit, so the workers' final records will never be routed —
+                # without an error and a completed jobs-event, run() would wait on those
+                # records forever (or, worse, report an aborted run as success).
+                with session._lock:
+                    session._errors.append(
+                        ("substrate", "processes substrate was shut down mid-run")
+                    )
+                session._failed.set()
+                session._jobs_event.set()
+            for worker in workers:
+                # Abort flags must be set BEFORE the mailboxes are woken: a worker roused
+                # by a token re-checks its abort event and must find it already flipped,
+                # or it would go straight back to sleep with no second wake coming.
+                if worker.process.is_alive():
+                    worker.abort_event.set()
+            for session in sessions:
+                session._wake_mailboxes("processes substrate shut down")
+            if self._dispatcher is not None:
+                self._wake_dispatcher()
+                self._dispatcher.join(timeout=5.0)
+            # Letting go of the pipes is the stop signal: an idle worker reads EOF on its
+            # job pipe and returns; one still unwinding a job finds its record pipe
+            # broken, or sees the EOF from its mailbox wait, and exits just the same.
+            for worker in workers:
+                _close_parent_ends(worker.jobs, worker.records)
+            for worker in workers:
+                _reap(worker.process)
+            with self._lock:
+                self._workers = []
+        finally:
+            # Every transport the pool made goes on every path, a failed stop
+            # included: the wake pipe, and each registry queue and feeder thread.
+            with self._lock:
+                queues = self._registry + self._retired_queues
+                self._registry, self._retired_queues = [], []
+                self._free_mailboxes = []
+            for fifo in queues:
+                _close_queue(fifo)
+            _close_parent_ends(
+                *(end for end in (self._wake_reader, self._wake_writer) if end is not None)
+            )
 
     def session(
         self,
@@ -684,6 +708,8 @@ class ProcessesSubstrate(Substrate):
 
     def _lease_mailbox(self, name: str) -> RegistryMailbox:
         with self._lock:
+            if self._stopped:
+                raise BackendError("processes substrate has been shut down")
             if not self._started:
                 raise BackendError("processes substrate not started")
             if not self._free_mailboxes:
@@ -701,12 +727,18 @@ class ProcessesSubstrate(Substrate):
         run leaves that queue empty by protocol, so the fast path never blocks;
         after a failed run (``settle``) the queue's feeder thread in this process
         may still be writing wake tokens and undelivered messages into the pipe, and
-        the drain waits a moment for them to land.
+        the drain waits a moment for them to land.  Once the pool is shut down its
+        queues are closed, and there is nothing left to empty or return.
         """
         for mailbox in leased:
-            if mailbox.sink is mailbox.queue:
-                drain_fifo(mailbox.queue, settle_timeout=0.1 if settle else 0.0)
+            if mailbox.sink is mailbox.queue and not self._stopped:
+                try:
+                    drain_fifo(mailbox.queue, settle_timeout=0.1 if settle else 0.0)
+                except (OSError, ValueError):
+                    return  # shutdown() closed the queue under us
         with self._lock:
+            if self._stopped:
+                return
             for mailbox in leased:
                 if mailbox.index in self._retired_slots:
                     continue  # replaced after a worker death; never re-lease
@@ -719,10 +751,11 @@ class ProcessesSubstrate(Substrate):
         the respawned worker inherits the fresh queue under the same index and
         the job's pickled payload (which references mailboxes by index) replays
         unchanged.  The old queue — its read side possibly left mid-frame or with
-        its reader lock held by the death — is abandoned.
+        its reader lock held by the death — is never read again; shutdown closes it.
         """
         with self._lock:
             fresh = self._context.Queue()
+            self._retired_queues.append(self._registry[index])
             self._registry[index] = fresh
             self._retired_slots.add(index)
             return fresh
@@ -792,19 +825,20 @@ class ProcessesSubstrate(Substrate):
         each other's messages, so a batch queued behind itself would deadlock.
         """
         with self._lock:
-            if self._stopped:
-                raise BackendError("processes substrate has been shut down")
-            free = [
-                worker
-                for worker in self._workers
-                if worker.current is None and worker.process.is_alive()
-            ]
-            while len(free) < len(jobs):
-                free.append(self._fork_worker_locked())
-            active_plan = _faults.ACTIVE
-            fault_token = active_plan.encode() if active_plan is not None else None
-            for index, ((job, name), worker) in enumerate(zip(jobs, free)):
-                try:
+            submitted = 0
+            try:
+                if self._stopped:
+                    raise BackendError("processes substrate has been shut down")
+                free = [
+                    worker
+                    for worker in self._workers
+                    if worker.current is None and worker.process.is_alive()
+                ]
+                while len(free) < len(jobs):
+                    free.append(self._fork_worker_locked())
+                active_plan = _faults.ACTIVE
+                fault_token = active_plan.encode() if active_plan is not None else None
+                for (job, name), worker in zip(jobs, free):
                     shared_keys: Dict[str, int] = {}
                     shared_blobs: Dict[int, bytes] = {}
                     for argument, obj in job.shared.items():
@@ -818,9 +852,9 @@ class ProcessesSubstrate(Substrate):
                         )
                     except Exception as error:
                         raise BackendError(
-                            f"worker job {name!r} is not picklable for the pooled "
-                            "processes substrate; use the threads substrate or the "
-                            "one-shot ProcessesBackend"
+                            f"worker job {name!r} is not picklable for the processes "
+                            "substrate; give the WorkerJob a module-level factory "
+                            "and picklable arguments, or use the threads substrate"
                         ) from error
                     # The record is retained until the job completes: a dead worker's
                     # job is re-executed from it on a respawned worker.
@@ -829,11 +863,13 @@ class ProcessesSubstrate(Substrate):
                          tuple(shared_keys.values()), session.receive_timeout),
                         shared_blobs, fault_token,
                     )
-                except BaseException:
-                    # Jobs from this one on were never handed out: settle their share
-                    # of the session's completion count so close() doesn't stall.
-                    session._account_unsubmitted(len(jobs) - index)
-                    raise
+                    submitted += 1
+            except BaseException:
+                # Jobs not handed out (a refused fork, a stopped pool, a job that
+                # does not pickle) settle their share of the session's completion
+                # count, or close() would wait out its grace period for them.
+                session._settle_jobs(len(jobs) - submitted)
+                raise
             self._evict_delivered_blobs_locked()
 
     def _abort_session(self, session: "ProcessesSession") -> None:
@@ -919,9 +955,9 @@ class ProcessesSubstrate(Substrate):
         if session is None:
             return
         if tag == "done":
-            session._job_done(record[2], record[3], record[4])
+            session._settle_jobs(1, record[3], record[4])
         elif tag == "aborted":
-            session._job_done(record[2], 0, 0)
+            session._settle_jobs(1)
         elif tag == "error":
             session._job_failed(record[2], record[3])
 
@@ -941,15 +977,17 @@ class ProcessesSubstrate(Substrate):
         _close_parent_ends(worker.jobs, worker.records)
         worker.process.kill()  # a no-op unless the stream ended before the process
         worker.process.join()
+        detail = f"worker process exited with code {worker.process.exitcode}"
+        worker.process.close()
         if current is not None:
             session_id, name = current
             with self._lock:
                 session = self._sessions.get(session_id)
             if session is not None:
-                self._recover_job(session, worker, name)
+                self._recover_job(session, worker, name, detail)
 
     def _recover_job(
-        self, session: "ProcessesSession", worker: _PoolWorker, name: str
+        self, session: "ProcessesSession", worker: _PoolWorker, name: str, detail: str
     ) -> None:
         """Re-execute a dead worker's in-flight job on a freshly forked worker.
 
@@ -960,8 +998,6 @@ class ProcessesSubstrate(Substrate):
         the replay's duplicate outputs.  Runs on the dispatcher thread, so it
         never races :meth:`_handle_record`.
         """
-        exitcode = worker.process.exitcode
-        detail = f"worker process exited with code {exitcode}"
         inflight = worker.inflight
         if inflight is None:
             session._job_failed(name, detail)
@@ -1015,13 +1051,8 @@ class ProcessesSession(Backend):
         self._failed = threading.Event()
         self._errors: List[Tuple[str, str]] = []
         self._lock = threading.Lock()
-        # Routing state.  Every message delivered to a leased mailbox — parent
-        # sends and dispatcher-forwarded child sends alike — is appended to the
-        # mailbox's log under _route_lock and, once the mailbox has a reader, put
-        # into its sink.  The log is what the first reader is handed, and what a
-        # mailbox claimed by a job that died is rebuilt from, byte-identically,
-        # into a fresh queue.  The per-job forwarded watermark suppresses the
-        # replayed job's duplicate outputs.  NOTE on lock order: _route_lock may
+        # Routing state: mailbox logs and sinks, claims and the per-job forwarded
+        # watermark, all under _route_lock.  NOTE on lock order: _route_lock may
         # nest the substrate lock inside it (via _replace_registry_slot); never the
         # other way around.
         self._route_lock = threading.Lock()
@@ -1036,8 +1067,6 @@ class ProcessesSession(Backend):
         self._jobs_remaining = 0
         self._jobs_event = threading.Event()
         self._start: Optional[float] = None
-        self._ran = False
-        self._closed = False
 
     # ----------------------------------------------------------------- plumbing
 
@@ -1063,8 +1092,9 @@ class ProcessesSession(Backend):
             return
         if not isinstance(body, WorkerJob):
             raise BackendError(
-                "pooled processes workers run from picklable WorkerJob specs; "
-                "spawn raw generator bodies on the one-shot ProcessesBackend instead"
+                "processes workers run from picklable WorkerJob specs; wrap the "
+                "body's factory and arguments in a WorkerJob, or run raw generator "
+                "bodies on the threads substrate"
             )
         self._worker_count += 1
         self._worker_jobs.append((body, name))
@@ -1092,10 +1122,7 @@ class ProcessesSession(Backend):
             self._messages += len(messages)
             self._bytes += size_bytes * len(messages)
 
-    def run(self) -> float:
-        if self._ran:
-            raise BackendError("a run session can only be run once")
-        self._ran = True
+    def _run(self) -> float:
         self._start = time.perf_counter()
         self._substrate._register(self)
         self._jobs_remaining = len(self._worker_jobs)
@@ -1131,11 +1158,8 @@ class ProcessesSession(Backend):
                 network_messages=self._messages, network_bytes=self._bytes
             )
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        settle = False
+    def _close(self) -> None:
+        settle, wedged = bool(self._errors), False
         if self._ran and not self._jobs_event.is_set():
             # The compilation is being torn down mid-flight (an error escaped
             # between run() and report collection, or run() itself raised):
@@ -1143,21 +1167,14 @@ class ProcessesSession(Backend):
             # return to the pool.
             self._failed.set()
             self._substrate._abort_session(self)
-            self._jobs_event.wait(timeout=10.0)
-            settle = True
-        if self._errors:
-            settle = True
-        if self._ran and not self._jobs_event.is_set():
-            # A worker is still wedged in this session's compute after the grace
-            # period: leak the leased mailbox slots rather than return them — a
-            # slot re-leased to a new session could otherwise receive a late
-            # message from this dead compilation and corrupt an unrelated
-            # result.
-            self._substrate._unregister(self)
-            return
-        self._substrate._release_mailboxes(self._leased, settle=settle)
-        self._leased = []
+            settle, wedged = True, not self._jobs_event.wait(timeout=10.0)
         self._substrate._unregister(self)
+        if not wedged:
+            # A worker still wedged in this session's compute after the grace period
+            # keeps the leased slots out of circulation: one re-leased to a new
+            # session could receive a late message from this dead compilation.
+            self._substrate._release_mailboxes(self._leased, settle=settle)
+        self._leased = []
 
     # ---------------------------------------------------------------- internals
 
@@ -1217,12 +1234,9 @@ class ProcessesSession(Backend):
     def _reset_claimed_mailboxes(self, job_name: str, substrate: ProcessesSubstrate) -> None:
         """Rebuild every mailbox the dead job had claimed into a fresh queue.
 
-        The old queue is never drained or reused — a SIGKILL can leave a
-        multiprocessing queue with its reader lock held or a half-read frame, so
-        the registry slot is swapped for a brand-new queue (and retired from the
-        free list) and the fresh queue is refilled from the mailbox's full message
-        log.  The respawned worker then replays the job against byte-identical
-        mailbox history.
+        Each claimed slot gets a brand-new queue (:meth:`ProcessesSubstrate.
+        _replace_registry_slot`), refilled from the mailbox's full message log, so
+        the respawned worker replays the job against byte-identical history.
         """
         with self._route_lock:
             for index in sorted(self._claims.get(job_name, ())):
@@ -1248,18 +1262,12 @@ class ProcessesSession(Backend):
         with self._lock:
             return self._replays
 
-    def _account_unsubmitted(self, count: int) -> None:
-        """Settle completion accounting for jobs that never reached a worker."""
-        with self._lock:
-            self._jobs_remaining -= count
-            if self._jobs_remaining <= 0:
-                self._jobs_event.set()
-
-    def _job_done(self, name: str, messages: int, size_bytes: int) -> None:
+    def _settle_jobs(self, count: int, messages: int = 0, size_bytes: int = 0) -> None:
+        """Count ``count`` jobs as finished — done, failed or never handed out."""
         with self._lock:
             self._messages += messages
             self._bytes += size_bytes
-            self._jobs_remaining -= 1
+            self._jobs_remaining -= count
             if self._jobs_remaining <= 0:
                 self._jobs_event.set()
 
@@ -1268,10 +1276,7 @@ class ProcessesSession(Backend):
             self._errors.append((name, detail))
         self._failed.set()
         self._substrate._abort_session(self)
-        with self._lock:
-            self._jobs_remaining -= 1
-            if self._jobs_remaining <= 0:
-                self._jobs_event.set()
+        self._settle_jobs(1)
 
     def _run_coordinator(self, body: Generator, name: str) -> None:
         try:
@@ -1292,317 +1297,3 @@ class ProcessesSession(Backend):
         return _opened(blocking_receive(
             mailbox.sink, self.receive_timeout, self._failed, who, mailbox.name
         ))
-
-
-# ------------------------------------------------------------------ one-shot API
-
-
-class ProcessesBackend(Backend):
-    """Run the distributed protocol on freshly forked OS processes (one-shot).
-
-    Workers are forked *after* the coordinator has built the grammar, the evaluation
-    plan and every process body, so the (possibly unpicklable, closure-rich) grammar
-    machinery is inherited copy-on-write and never serialised; only protocol messages
-    travel between processes.  For a persistent pool that amortises the fork cost
-    across many compilations, use :class:`ProcessesSubstrate`.
-    """
-
-    name = "processes"
-    packed_wire = True
-
-    def __init__(self, receive_timeout: float = 120.0):
-        super().__init__()
-        try:
-            self._context = multiprocessing.get_context("fork")
-        except ValueError as error:
-            raise BackendError(
-                "the processes backend requires the 'fork' multiprocessing start "
-                "method (POSIX only); use backend='threads' on this platform"
-            ) from error
-        self.receive_timeout = receive_timeout
-        self._workers: List[Tuple[Generator, str]] = []
-        self._coordinators: List[Tuple[Generator, str]] = []
-        self._control = self._context.Queue()
-        self._failed = threading.Event()
-        self._errors: List[Tuple[str, str]] = []
-        self._lock = threading.Lock()
-        self._messages = 0
-        self._bytes = 0
-        self._net_records_seen = 0
-        self._start: Optional[float] = None
-        self._in_child = False
-        self._children: List[Any] = []
-        self._closed = False
-        self._mailboxes: List[QueueMailbox] = []
-        self._live_coordinators = 0
-
-    # ----------------------------------------------------------------- plumbing
-
-    def mailbox(self, name: str) -> QueueMailbox:
-        mailbox = QueueMailbox(name, self._context.Queue())
-        self._mailboxes.append(mailbox)
-        return mailbox
-
-    def spawn(
-        self,
-        body: Any,
-        *,
-        name: str,
-        machine: int = 0,
-        coordinator: bool = False,
-    ) -> None:
-        if isinstance(body, WorkerJob):
-            # Materialised pre-fork: the body is inherited copy-on-write, so even
-            # unpicklable grammars work on the one-shot path.
-            body = body.materialize(self)
-        if coordinator:
-            self._coordinators.append((body, name))
-        else:
-            self._worker_count += 1
-            self._workers.append((body, name))
-
-    def send(
-        self,
-        source: int,
-        destination: int,
-        message: Any,
-        size_bytes: int,
-        mailbox: Mailbox,
-    ) -> None:
-        assert isinstance(mailbox, QueueMailbox)
-        messages = [message]
-        if _faults.ACTIVE is not None:
-            replacement = apply_send_faults(mailbox.name, message)
-            if replacement is not None:
-                messages = replacement
-        for item in messages:
-            mailbox.queue.put(item)
-        with self._lock:
-            self._messages += len(messages)
-            self._bytes += size_bytes * len(messages)
-
-    def publish_report(self, region_id: int, report: Any) -> None:
-        if self._in_child:
-            self._control.put(("report", region_id, report))
-        else:
-            super().publish_report(region_id, report)
-
-    def run(self) -> float:
-        self._start = time.perf_counter()
-        # Fork the workers before starting any coordinator thread (and hence before the
-        # first queue put): forking a process with live queue feeder threads is unsafe.
-        children = [
-            self._context.Process(target=self._child_main, args=(body, name), name=name, daemon=True)
-            for body, name in self._workers
-        ]
-        self._children = children
-        with _FORK_LOCK:
-            for child in children:
-                child.start()
-        self._live_coordinators = len(self._coordinators)
-        coordinator_threads = [
-            threading.Thread(
-                target=self._run_coordinator, args=(body, name), name=name, daemon=True
-            )
-            for body, name in self._coordinators
-        ]
-        for thread in coordinator_threads:
-            thread.start()
-
-        pending_children = {child.name: child for child in children}
-        # The monitor sleeps until something actually happens: a control record
-        # arrives (the queue's reader pipe becomes readable) or a child process
-        # exits (its sentinel fires); finishing coordinators enqueue a wake record.
-        # The timeout is only a safety net, not the detection mechanism.
-        control_reader = getattr(self._control, "_reader", None)
-        try:
-            while True:
-                self._drain_control_nowait()
-                for name, child in list(pending_children.items()):
-                    if not child.is_alive():
-                        child.join()
-                        if child.exitcode not in (0, None):
-                            with self._lock:
-                                if not any(entry[0] == name for entry in self._errors):
-                                    self._errors.append(
-                                        (name, f"worker process exited with code {child.exitcode}")
-                                    )
-                            self._fail()
-                        del pending_children[name]
-                if self._failed.is_set():
-                    break
-                with self._lock:
-                    coordinators_done = self._live_coordinators == 0
-                if not pending_children and coordinators_done:
-                    break
-                if control_reader is not None:
-                    multiprocessing.connection.wait(
-                        [control_reader]
-                        + [child.sentinel for child in pending_children.values()],
-                        timeout=0.5,
-                    )
-                else:  # pragma: no cover — transport without a reader pipe
-                    time.sleep(0.05)
-        finally:
-            # Also terminate on exceptions that bypass the error plumbing (e.g. a
-            # KeyboardInterrupt in this monitor loop) — otherwise healthy children
-            # blocked in a receive would pin the join below for the full timeout.
-            aborting = self._failed.is_set() or sys.exc_info()[0] is not None
-            if aborting:
-                for child in pending_children.values():
-                    if child.is_alive():
-                        child.terminate()
-            for child in pending_children.values():
-                child.join()
-            for thread in coordinator_threads:
-                thread.join()
-            # Each child enqueues its report and then its network-counter record just
-            # before exiting, and the queue's feeder pipe can lag the join: keep
-            # draining until both have landed for every worker (bounded, in case a
-            # child died before publishing).  Each read blocks only until the next
-            # record arrives — nothing waits out a fixed window once the counts are in.
-            drain_deadline = time.monotonic() + 5.0
-            self._drain_control_nowait()
-            while (
-                (len(self._reports) < self._worker_count
-                 or self._net_records_seen < self._worker_count)
-                and not self._errors
-                and not aborting
-            ):
-                remaining = drain_deadline - time.monotonic()
-                if remaining <= 0 or not self._drain_one(remaining):
-                    break
-
-        if self._errors:
-            name, detail = self._errors[0]
-            raise BackendError(f"worker {name!r} failed: {detail}")
-        return time.perf_counter() - self._start
-
-    @property
-    def now(self) -> float:
-        if self._start is None:
-            return 0.0
-        return time.perf_counter() - self._start
-
-    def telemetry(self) -> BackendTelemetry:
-        return BackendTelemetry(network_messages=self._messages, network_bytes=self._bytes)
-
-    def close(self) -> None:
-        """Terminate any forked worker still alive (idempotent, safe on every path).
-
-        ``run()`` already joins or terminates its children in its own ``finally``;
-        this is the last line of defence for error paths that never reach ``run`` or
-        that abandon the backend between ``run`` and report collection.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self._failed.set()
-        with self._lock:
-            coordinators_blocked = self._live_coordinators > 0
-        if coordinators_blocked:
-            # Only a run abandoned mid-flight can still have a coordinator asleep
-            # in a receive; a cleanly finished run must not get garbage wake
-            # tokens.
-            self._fail()
-        for child in self._children:
-            if child.is_alive():
-                child.terminate()
-        for child in self._children:
-            child.join(timeout=5.0)
-
-    # ---------------------------------------------------------------- internals
-
-    def _fail(self) -> None:
-        """Flag the run failed and wake every receiver blocked on one of its
-        mailboxes (coordinator threads; children also get terminated by ``run``)."""
-        self._failed.set()
-        if not self._in_child:
-            for mailbox in self._mailboxes:
-                mailbox.queue.put(WakeToken("run failed"))
-
-    def _child_main(self, body: Generator, name: str) -> None:
-        """Entry point of a forked worker process."""
-        self._in_child = True
-        self._start = time.perf_counter()
-        _drop_parent_ends()  # hold no pooled substrate's pipes open
-        freeze_inherited_heap()  # one job, then exit: this worker never collects
-        try:
-            drive(body, lambda mailbox: self._child_receive(mailbox, name))
-            self._control.put(("net", self._messages, self._bytes))
-        except BaseException:  # noqa: BLE001 — shipped to the parent, then re-raised
-            self._control.put(("error", name, traceback.format_exc()))
-            raise
-
-    def _child_receive(self, mailbox: QueueMailbox, who: str) -> Any:
-        if _faults.ACTIVE is not None:
-            apply_receive_faults(who, mailbox.name)
-            hit = _faults.ACTIVE.check("worker.crash", who)
-            if hit is not None:
-                if hit.action == "crash":
-                    time.sleep(0.05)  # let the control queue's feeder flush
-                    os._exit(3)
-                raise FaultError("worker.crash", hit.action, who)
-        deadline = time.monotonic() + self.receive_timeout
-        while True:
-            message = deadline_get(
-                mailbox.queue, deadline, self.receive_timeout, who, mailbox.name
-            )
-            if isinstance(message, WakeToken):
-                continue  # parent-side wake for a failure we learn about via terminate
-            return message
-
-    def _run_coordinator(self, body: Generator, name: str) -> None:
-        try:
-            drive(body, lambda mailbox: self._coordinator_receive(mailbox, name))
-        except BaseException as error:  # noqa: BLE001 — reported via run()
-            with self._lock:
-                self._errors.append((name, repr(error)))
-            self._fail()
-        finally:
-            with self._lock:
-                self._live_coordinators -= 1
-            # Wake the monitor loop so coordinator completion is seen immediately.
-            self._control.put(None)
-
-    def _coordinator_receive(self, mailbox: QueueMailbox, who: str) -> Any:
-        return blocking_receive(
-            mailbox.queue, self.receive_timeout, self._failed, who, mailbox.name
-        )
-
-    def _drain_control_nowait(self) -> None:
-        """Absorb every already-queued report/telemetry/error record, never blocking."""
-        while self._drain_one(0.0):
-            pass
-
-    def _drain_one(self, timeout: float) -> bool:
-        """Wait up to ``timeout`` seconds for one control record; False when none came."""
-        try:
-            if timeout <= 0:
-                record = self._control.get_nowait()
-            else:
-                record = self._control.get(timeout=timeout)
-        except queue_module.Empty:
-            return False
-        if record is None:  # wake record from a finishing coordinator thread
-            return True
-        tag = record[0]
-        if tag == "report":
-            self._reports[record[1]] = record[2]
-        elif tag == "net":
-            with self._lock:
-                self._messages += record[1]
-                self._bytes += record[2]
-                self._net_records_seen += 1
-        elif tag == "error":
-            with self._lock:
-                # A child's traceback beats the bare exit-code diagnostic that the
-                # liveness check may already have recorded for the same worker.
-                self._errors = [
-                    entry
-                    for entry in self._errors
-                    if not (entry[0] == record[1] and "exited with code" in entry[1])
-                ]
-                self._errors.insert(0, (record[1], record[2]))
-            self._fail()
-        return True

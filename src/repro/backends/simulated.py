@@ -41,8 +41,8 @@ class SimulatedMailbox(Mailbox):
         self.store = store
 
 
-class SimulatedBackend(Backend):
-    """Run the distributed protocol on the simulated cluster."""
+class SimulatedSession(Backend):
+    """One compilation run on a fresh simulated cluster."""
 
     name = "simulated"
 
@@ -94,7 +94,7 @@ class SimulatedBackend(Backend):
             mailbox=mailbox.store,
         )
 
-    def run(self) -> float:
+    def _run(self) -> float:
         started = time.perf_counter()
         self.cluster.run()
         unfinished = self.cluster.environment.unfinished_processes()
@@ -179,12 +179,12 @@ class SimulatedSubstrate(Substrate):
         machines: int = 1,
         *,
         receive_timeout: Optional[float] = None,
-    ) -> SimulatedBackend:
+    ) -> SimulatedSession:
         if self._stopped:
             raise BackendError("simulated substrate has been shut down")
         with self._lock:
             self._sessions_opened += 1
-        return SimulatedBackend(
+        return SimulatedSession(
             machines,
             network=self.network,
             cost_model=self.cost_model,

@@ -7,7 +7,7 @@ attribute values, and the root attributes flow back to the parser (optionally ro
 code strings through the string librarian).
 
 The coordinator/evaluator/librarian processes are written once against the backend
-interface in :mod:`repro.backends`, so the same protocol runs on three interchangeable
+interface in :mod:`repro.backends`, so the same protocol runs on four interchangeable
 substrates selected by the ``backend`` knob:
 
 * ``"simulated"`` (default) — the paper's modelled cluster; the returned
@@ -16,7 +16,9 @@ substrates selected by the ``backend`` knob:
   the paper's evaluation section;
 * ``"threads"`` — one OS thread per evaluator region (``queue.Queue`` mailboxes);
 * ``"processes"`` — one forked OS process per evaluator region (pickled protocol
-  messages over pipes).
+  messages over pipes);
+* ``"sockets"`` — evaluator jobs on separate worker processes reached over TCP
+  (:mod:`repro.cluster`).
 
 Every report additionally carries wall-clock timings, so real and simulated runs can be
 compared side by side.
@@ -71,8 +73,8 @@ class CompilerConfiguration:
     """Tunable knobs of the parallel compiler.
 
     :param evaluator: ``"combined"`` (the paper's contribution) or ``"dynamic"``.
-    :param backend: execution substrate — ``"simulated"``, ``"threads"`` or
-        ``"processes"`` (see :mod:`repro.backends`).
+    :param backend: execution substrate — ``"simulated"``, ``"threads"``,
+        ``"processes"`` or ``"sockets"`` (see :mod:`repro.backends`).
     :param use_librarian: route code attributes through the string librarian instead of
         shipping full code strings up the evaluator tree.
     :param librarian_attributes: names of root/split synthesized attributes treated as
@@ -239,11 +241,12 @@ class ParallelCompiler:
     name-keyed engines across call sites.  Construct a raw ``ParallelCompiler``
     only for grammars that are not (and should not be) registered as languages.
 
-    By default every :meth:`compile_tree` call builds a one-shot backend (spawn
-    workers, run, tear down).  Pass a started :class:`~repro.backends.base.Substrate`
-    — at construction or per call — and the compiler becomes a thin client of that
-    persistent pool instead: each compilation borrows a run session, long-lived
-    workers pull the evaluator jobs, and the substrate survives for the next call.
+    By default every :meth:`compile_tree` call runs on a private substrate of the
+    configured ``backend``, started for that one compilation and shut down when it
+    ends.  Pass a started :class:`~repro.backends.base.Substrate` — at construction or
+    per call — and the compiler becomes a thin client of that persistent pool
+    instead: each compilation borrows a run session, long-lived workers pull the
+    evaluator jobs, and the substrate survives for the next call.
     """
 
     def __init__(
@@ -329,6 +332,7 @@ class ParallelCompiler:
         if pool is not None:
             session = pool.session(machines, receive_timeout=bound)
         else:
+            # One-shot: a private substrate, shut down when the run ends.
             session = create_backend(
                 backend or self.backend,
                 machines,
@@ -337,8 +341,8 @@ class ParallelCompiler:
                 receive_timeout=bound,
             )
         # Everything from here on runs under the session's teardown guarantee: if the
-        # run (or report collection) raises, close() joins/terminates this
-        # compilation's workers instead of leaking them.
+        # run (or report collection) raises, close() unwinds this compilation's
+        # workers instead of leaking them.
         try:
             return self._compile_on_session(
                 session,

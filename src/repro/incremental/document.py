@@ -80,6 +80,8 @@ class Document:
                 "pass either cache= (a possibly store-backed ArtifactCache) or "
                 "store= (a path/ArtifactStore to mount a fresh cache on), not both"
             )
+        #: A cache passed in belongs to its caller; one built here, to this document.
+        self._owns_cache = cache is None
         if cache is not None:
             self.cache = cache
         elif store is not None:
@@ -170,6 +172,23 @@ class Document:
         )
         self.last_result = result
         return result
+
+    # ---------------------------------------------------------------- lifecycle
+
+    def close(self) -> None:
+        """Flush and close the artifact cache this document created (idempotent).
+
+        Its store writer thread exits once every recorded artifact is written.  A
+        cache passed in as ``cache=`` is its owner's to close and is left alone.
+        """
+        if self._owns_cache:
+            self.cache.close()
+
+    def __enter__(self) -> "Document":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     # ---------------------------------------------------------------- internals
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
+import os
 import pickle
 import queue as queue_module
 import threading
@@ -516,24 +517,6 @@ class TestBackendRobustness:
         # Well under the 30s receive timeout: the wake token did its job.
         assert time_module.monotonic() - started < 5
 
-    @requires_fork
-    def test_one_shot_forked_worker_freezes_its_heap_and_never_collects(self):
-        backend = create_backend("processes", machines=1, receive_timeout=10)
-
-        def probe_body():
-            backend.publish_report(0, (gc.get_freeze_count(), gc.isenabled()))
-            return
-            yield Compute(0.0)  # pragma: no cover — makes this a generator
-
-        backend.spawn(probe_body(), name="probe")
-        try:
-            backend.run()
-            frozen, enabled = backend.reports[0]
-        finally:
-            backend.close()
-        assert frozen > 0 and enabled is False
-        assert gc.isenabled() and gc.get_freeze_count() == 0  # the parent is untouched
-
     def test_drain_fifo_empties_and_settles(self):
         import queue as plain_queue
 
@@ -568,3 +551,134 @@ class TestBackendRobustness:
         backend.spawn(waiting_body(), name="waiter")
         with pytest.raises(BackendError, match="waiter"):
             backend.run()
+
+
+def _child_pids():
+    """Pids of this process's children, running or zombie (Linux ``/proc``)."""
+    pids = set()
+    for task in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{task}/children") as listing:
+                pids.update(int(pid) for pid in listing.read().split())
+        except FileNotFoundError:  # the thread exited while we looked
+            continue
+    return pids
+
+
+def _pool_threads():
+    return {
+        thread for thread in threading.enumerate()
+        if thread.name.startswith(("repro-pool-", "repro-cluster-"))
+    }
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+requires_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="reads this process's /proc entries"
+)
+
+
+class TestOneShotLifecycle:
+    """A one-shot compile is a private substrate: started, used once, shut down."""
+
+    @requires_fork
+    def test_raw_generator_worker_body_is_refused_at_spawn(self):
+        backend = create_backend("processes", machines=1, receive_timeout=10)
+
+        def raw_body():
+            yield Compute(0.0)
+
+        try:
+            with pytest.raises(BackendError, match="WorkerJob"):
+                backend.spawn(raw_body(), name="raw")
+        finally:
+            backend.close()
+
+    @requires_proc
+    @pytest.mark.parametrize("caller_closes", [True, False], ids=["close", "no-close"])
+    @pytest.mark.parametrize("backend", REAL_BACKENDS)
+    def test_one_shot_compile_leaves_no_pool_behind(
+        self, split_grammar, big_expression, backend, caller_closes
+    ):
+        from repro.partition.decomposition import plan_decomposition
+
+        compiler = ParallelCompiler(split_grammar)
+        expected = compiler.compile_tree(big_expression, 3).root_attributes["value"]
+        threads_before, children_before = _pool_threads(), _child_pids()
+        if caller_closes:
+            report = compiler.compile_tree(big_expression, 3, backend=backend)
+        else:
+            # Drive the session the way compile_tree does, minus its close():
+            # the end of run() alone must take the private substrate down.
+            session = create_backend(backend, machines=3)
+            report = compiler._compile_on_session(
+                session, big_expression, 3, plan_decomposition(big_expression, 3),
+                None, 0.0, big_expression.node_count, time.perf_counter(),
+            )
+        assert report.root_attributes["value"] == expected
+        assert report.worker_count == report.decomposition.region_count
+        assert _pool_threads() - threads_before == set()
+        assert _child_pids() - children_before == set()
+
+    @requires_fork
+    @requires_proc
+    def test_one_shot_processes_compiles_leave_no_fds_or_threads(self, pascal_setup):
+        from repro.api import Compiler
+        from repro.faults import FaultPlan, FaultRule, active
+        from repro.faults.plan import FaultError
+
+        _, tree = pascal_setup
+        engine = Compiler("pascal").engine
+        reference = engine.compile_tree(tree, 4, backend="processes").code_text("code")
+        fds, threads = _open_fds(), threading.active_count()
+        refused = FaultPlan(seed=1, rules=[FaultRule("worker.spawn", action="error")])
+        failures = 0
+        for attempt in range(10):
+            try:
+                if attempt == 3:
+                    with active(refused, env=False):
+                        engine.compile_tree(tree, 4, backend="processes")
+                elif attempt == 6:
+                    engine.compile_tree(tree, 4, backend="processes", receive_timeout=1e-3)
+                else:
+                    report = engine.compile_tree(tree, 4, backend="processes")
+                    assert report.code_text("code") == reference
+            except (BackendError, FaultError):
+                failures += 1
+        assert failures >= 1
+        # No gc.collect(): shutting the private pool down must free its queues,
+        # pipes, feeder threads and worker sentinels by itself.
+        patience = time.monotonic() + 2.0
+        while (_open_fds(), threading.active_count()) > (fds, threads):
+            if time.monotonic() >= patience:
+                break
+            time.sleep(0.02)
+        assert _open_fds() <= fds
+        assert threading.active_count() <= threads
+
+    def test_one_shot_simulated_report_is_bit_identical(self, pascal_setup):
+        import hashlib
+
+        from repro.api import Compiler
+
+        _, tree = pascal_setup
+        report = Compiler("pascal", machines=4).compile_tree(tree).report
+        digest = hashlib.sha256()
+        for machine, intervals in sorted(report.timeline.items()):
+            for interval in intervals:
+                digest.update(
+                    f"{machine}|{interval.start.hex()}|{interval.end.hex()}|"
+                    f"{interval.kind.value}|{interval.label}\n".encode()
+                )
+        # A one-shot simulated compile is a session of a fresh SimulatedSubstrate;
+        # its finish time and Figure 6 timeline are pinned to the last bit.
+        assert report.evaluation_time.hex() == "0x1.f00965da4f6c7p-1"
+        assert report.network_busy_time.hex() == "0x1.fb465cdba3296p-5"
+        assert (report.network_messages, report.network_bytes) == (17, 76316)
+        assert sum(len(intervals) for intervals in report.timeline.values()) == 65
+        assert digest.hexdigest() == (
+            "fdf9fc11c18e43257cc17744f4bc00af2ad5423cc2a82fa7718ff336d7cfaa8b"
+        )

@@ -508,6 +508,30 @@ class TestWarmStartPlumbing:
                 session._artifact_cache is not doc.cache
             )
 
+    def test_document_closes_only_the_cache_it_created(self, tmp_path):
+        source = random_expression_source(120, seed=5, nesting=5)
+        with Document("exprlang", source, machines=4, store=str(tmp_path)) as doc:
+            writer = doc.cache._writer
+            assert writer is not None and writer.is_alive()
+            built = doc.recompile()
+        # No flush by hand, no gc.collect(): close() wrote every artifact and
+        # retired the writer thread itself.
+        assert not writer.is_alive() and doc.cache._writer is None
+        fresh = Document("exprlang", source, machines=4, store=str(tmp_path))
+        try:
+            again = fresh.recompile()
+            assert again.value == built.value
+            assert again.incremental.regions_reused == again.incremental.regions_total - 1
+            assert fresh.cache.store_hits == again.incremental.regions_reused > 0
+        finally:
+            fresh.close()
+        borrowed = ArtifactCache(store=str(tmp_path))
+        try:
+            Document("exprlang", source, cache=borrowed).close()
+            assert borrowed._writer is not None and borrowed._writer.is_alive()
+        finally:
+            borrowed.close()
+
     def test_document_rejects_cache_and_store_together(self, tmp_path):
         with pytest.raises(ValueError, match="not both"):
             Document(
