@@ -13,7 +13,7 @@ Four implementations of the same :class:`~repro.backends.base.Backend` interface
   that survives killing a worker mid-compile.
 
 Each is a persistent :class:`Substrate` (:func:`create_substrate`): a worker pool and
-mailbox registry that survive across compilations and hand out one run session per
+its channels, which survive across compilations and hand out one run session per
 compile — ``compile_tree(..., substrate=pool)`` or the :mod:`repro.service` layer on
 top.  A one-shot compile (:func:`create_backend`, ``ParallelCompiler(grammar,
 backend="processes")``) is the same substrate, private to one session: started, used

@@ -19,7 +19,7 @@ protocol.
 
 The contract is split in two layers:
 
-* a :class:`Substrate` is the **persistent** half: a worker pool and mailbox registry
+* a :class:`Substrate` is the **persistent** half: a worker pool and its channels,
   created once (explicit :meth:`~Substrate.start` / :meth:`~Substrate.shutdown`, or a
   ``with`` block) and reused across many compilations — long-lived OS threads or forked
   worker processes pull work from a job channel instead of dying after one run;
@@ -74,8 +74,9 @@ class Receive:
 class Mailbox:
     """A named FIFO channel owned by one receiving process.
 
-    Concrete backends attach their own transport handle (a simulator ``Store``, an
-    in-process queue or a ``multiprocessing.Queue``).
+    Concrete backends attach their own transport handle (a simulator ``Store`` or an
+    in-process queue) or, on the pooled processes substrate, a number that routes
+    deliveries to the worker that reads the mailbox.
     """
 
     __slots__ = ("name",)
@@ -114,8 +115,8 @@ class WorkerJob:
     transport proxy) as its first argument.  In-process substrates materialise the body
     immediately; the processes and sockets substrates pickle the job and rebuild the
     body inside a long-lived worker, which is why ``factory`` must be a module-level
-    callable and ``kwargs`` must pickle (``Mailbox`` values are translated to registry
-    indexes automatically, including inside dicts/lists/tuples).
+    callable and ``kwargs`` must pickle (a ``Mailbox`` of the session crosses as its
+    name and number, wherever it sits inside the arguments).
 
     ``shared`` holds large immutable objects (grammars, evaluation plans) that pooled
     workers cache and reuse: each worker receives the pickled payload once and reuses
@@ -187,7 +188,7 @@ class Backend(abc.ABC):
 
     @abc.abstractmethod
     def mailbox(self, name: str) -> Mailbox:
-        """Create (or lease from the substrate's registry) a new empty mailbox."""
+        """Create a new empty mailbox owned by this session."""
 
     @abc.abstractmethod
     def spawn(
@@ -279,9 +280,9 @@ class Backend(abc.ABC):
     def close(self) -> None:
         """Tear the session down (idempotent; safe before, during and after ``run``).
 
-        This aborts any of the session's still-running bodies and returns leased
-        mailboxes to the registry.  The substrate stays alive, unless the session owns
-        it: then it is shut down here too.
+        This aborts any of the session's still-running bodies and lets go of its
+        mailboxes.  The substrate stays alive, unless the session owns it: then it is
+        shut down here too.
         """
         if self._closed:
             return
@@ -303,7 +304,7 @@ class Backend(abc.ABC):
 
 
 class Substrate(abc.ABC):
-    """The persistent half of an execution backend: worker pool + mailbox registry.
+    """The persistent half of an execution backend: a worker pool and its channels.
 
     Created once and reused across many compilations::
 
@@ -460,7 +461,12 @@ def deadline_get(fifo: Any, deadline: float, timeout: float, who: str, mailbox_n
             return fifo.get(timeout=remaining)
         except queue_module.Empty:
             pass
-    raise BackendError(
+    raise receive_timed_out(who, timeout, mailbox_name)
+
+
+def receive_timed_out(who: str, timeout: float, mailbox_name: str) -> BackendError:
+    """The diagnostic of a blocking receive that waited out its whole bound."""
+    return BackendError(
         f"{who} timed out after {timeout:.0f}s waiting on "
         f"mailbox {mailbox_name!r} (protocol deadlock?)"
     )
@@ -485,31 +491,6 @@ def blocking_receive(fifo: Any, timeout: float, failed: Any, who: str, mailbox_n
         if isinstance(message, WakeToken):
             continue
         return message
-
-
-def drain_fifo(fifo: Any, settle_timeout: float = 0.0) -> int:
-    """Empty a queue, optionally waiting once for in-flight feeders to land.
-
-    The fast path never blocks: ``get_nowait`` until empty.  With a ``settle_timeout``
-    (used after failed runs, where another process may still be mid-``put``), a single
-    bounded blocking read replaces repeated short polling ticks; every message that
-    arrives within the window resets it.  Returns the number of messages discarded.
-    """
-    import queue as queue_module
-
-    drained = 0
-    while True:
-        try:
-            fifo.get_nowait()
-            drained += 1
-        except queue_module.Empty:
-            if settle_timeout <= 0:
-                return drained
-            try:
-                fifo.get(timeout=settle_timeout)
-                drained += 1
-            except queue_module.Empty:
-                return drained
 
 
 def drive(body: Generator, receive: Any) -> None:

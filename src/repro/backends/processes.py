@@ -14,21 +14,26 @@ sessions; a one-shot compile is a private pool, started, used once and shut down
 - **worker → parent**: each worker pickles every record (``send``, ``claim``,
   ``report``, then ``done``/``aborted``/``error``) straight into its own one-way pipe,
   from its only thread and without a lock: killing it can only cut its own stream.
-- **dispatcher**: one parent thread sleeps in ``multiprocessing.connection.wait`` over
-  every record pipe and process sentinel (plus a wake pipe), routing records as they
-  land and handling deaths as they happen.  A worker's message is routed as the bytes
-  the worker pickled; only the mailbox's reader unpickles it.
-- **mailboxes** are leased per session and bound by their first reader.  A body of
-  the driving process (parser, librarian, replay) reads an in-process
-  ``queue.SimpleQueue``; a worker job reads one of a fixed registry of
-  ``multiprocessing.Queue`` slots created before the first fork, so every child
-  inherits every handle, written only by the parent.  Every delivery is logged, and
-  the log is handed to the reader when it binds — and replayed into a fresh slot for
-  a job re-executed after its worker died.
+- **parent → worker**: the worker's job pipe is its only way in.  It carries three
+  kinds of frame: job specs, deliveries ``(session, mailbox, message)`` and aborts
+  ``(session, job)``.  Any parent thread may append a frame to the worker's outbox;
+  only the dispatcher writes the pipe, non-blocking, so a worker that is busy writing
+  records of its own can never hold the dispatcher up.
+- **dispatcher**: one parent thread sleeps in a ``selectors`` poll over every record
+  pipe and process sentinel, a wake pipe, and each job pipe that still has bytes to
+  take, routing records as they land and handling deaths as they happen.  A worker's
+  message is routed as the bytes the worker pickled; only the mailbox's reader
+  unpickles it.
+- **mailboxes** are numbered within their session and bound by their first reader.  A
+  body of the driving process (parser, librarian, replay) reads an in-process
+  ``queue.SimpleQueue``; a worker job claims the mailbox, and its deliveries become
+  frames to that worker, buffered per mailbox on the worker's side until read.  Every
+  delivery is logged, and the log is handed to the reader when it binds — and sent
+  again, behind the job spec, to the replacement of a worker that died mid-job.
 - **lifetime**: a child closes every pipe end that belongs to the parent, so its pipes
   reach EOF exactly when the driving process dies or shuts the pool down, and the
-  worker exits.  ``shutdown()`` joins every worker and closes every pipe, registry
-  queue and feeder thread the pool made, on every path.
+  worker exits.  ``shutdown()`` joins every worker and closes every pipe the pool
+  made, on every path.
 
 Worker bodies (the evaluators) run in the forked workers; coordinator bodies run on
 threads of the driving process, where they share the outcome with the caller.  A
@@ -43,15 +48,16 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
-import multiprocessing.connection
 import os
 import pickle
 import queue as queue_module
+import selectors
+import struct
 import threading
 import time
 import traceback
-from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.backends.base import (
     Backend,
@@ -66,12 +72,10 @@ from repro.backends.base import (
     apply_receive_faults,
     apply_send_faults,
     blocking_receive,
-    deadline_get,
-    drain_fifo,
     drive,
     freeze_inherited_heap,
+    receive_timed_out,
 )
-from repro.backends.threads import QueueMailbox
 from repro.faults import plan as _faults
 from repro.faults.plan import FaultPlan
 
@@ -94,22 +98,6 @@ def _close_parent_ends(*ends: Any) -> None:
         _PARENT_ENDS.difference_update(ends)
     for end in ends:
         end.close()
-
-
-def _close_queue(fifo: Any) -> None:
-    """Let go of a ``multiprocessing.Queue``: drain it, stop its feeder, close both ends.
-
-    ``close()`` alone stops only a started feeder; a queue never written to would keep
-    its pipe ends open until the collector found it.
-    """
-    try:
-        drain_fifo(fifo)
-    except (OSError, ValueError):
-        pass  # closed already, or its read end is gone
-    fifo.close()
-    fifo.join_thread()
-    fifo._reader.close()
-    fifo._writer.close()
 
 
 def _reap(process: Any) -> None:
@@ -136,31 +124,40 @@ def _drop_parent_ends() -> None:
 # ---------------------------------------------------------------------------- wire
 
 
-@dataclass(frozen=True)
-class _MailboxRef:
-    """Registry index standing in for a mailbox inside a pickled job spec."""
-
-    index: int
-    name: str
+#: The length header ``Connection.recv_bytes`` reads in front of each frame; a frame
+#: of 2 GiB or more has ``-1`` here and its length in the 8 bytes that follow.
+_LENGTH = struct.Struct("!i")
+_LONG_LENGTH = struct.Struct("!Q")
 
 
-class RegistryMailbox(QueueMailbox):
-    """A mailbox leased from a :class:`ProcessesSubstrate` registry slot.
+def _framed(frame: Tuple) -> bytes:
+    """``frame`` pickled, behind the header a worker's ``recv_bytes`` expects."""
+    blob = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
+    if len(blob) > 0x7FFFFFFF:
+        return _LENGTH.pack(-1) + _LONG_LENGTH.pack(len(blob)) + blob
+    return _LENGTH.pack(len(blob)) + blob
 
-    ``queue`` is the slot's ``multiprocessing.Queue``, the transport a worker job
-    reads.  In the driving process the mailbox also carries the ``log`` of every
-    message delivered to it and its ``sink`` — where deliveries go once the reader is
-    known: ``None`` until the first read, then a ``queue.SimpleQueue`` (a coordinator
-    body reads it) or ``queue`` itself (a worker claimed it).
+
+class PooledMailbox(Mailbox):
+    """A mailbox of one :class:`ProcessesSession`, numbered within that session.
+
+    It crosses to a worker as its name and number only.  In the driving process it
+    also carries the ``log`` of every message delivered to it and its ``sink`` — where
+    deliveries go once the reader is known: ``None`` until the first read, then a
+    ``queue.SimpleQueue`` (a coordinator body reads it) or a :class:`_WorkerInbox`
+    (a worker job claimed it).
     """
 
     __slots__ = ("index", "log", "sink")
 
-    def __init__(self, name: str, fifo: Any, index: int):
-        super().__init__(name, fifo)
+    def __init__(self, name: str, index: int):
+        super().__init__(name)
         self.index = index
         self.log: List[Any] = []
         self.sink: Optional[Any] = None
+
+    def __reduce__(self) -> Tuple:
+        return PooledMailbox, (self.name, self.index)
 
 
 class _Sealed:
@@ -168,7 +165,7 @@ class _Sealed:
 
     The dispatcher logs and routes it unopened; the mailbox's reader unpickles it —
     a coordinator thread straight from its queue, another worker after one more
-    copy of the same bytes through its mailbox queue.
+    copy of the same bytes in a frame on its job pipe.
     """
 
     __slots__ = ("blob",)
@@ -185,42 +182,11 @@ def _opened(message: Any) -> Any:
     return pickle.loads(message.blob) if type(message) is _Sealed else message
 
 
-def _encode_wire(value: Any) -> Any:
-    """Replace mailboxes with registry references, recursing into containers."""
-    if isinstance(value, RegistryMailbox):
-        return _MailboxRef(value.index, value.name)
-    if isinstance(value, Mailbox):
-        raise BackendError(
-            f"mailbox {value.name!r} was not leased from this substrate's registry "
-            "and cannot cross to a pooled worker"
-        )
-    if isinstance(value, dict):
-        return {key: _encode_wire(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return type(value)(_encode_wire(item) for item in value)
-    return value
-
-
-def _decode_wire(value: Any, registry: List[Any]) -> Any:
-    """Child-side inverse of :func:`_encode_wire`.
-
-    Mailboxes decode to :class:`RegistryMailbox` (index preserved) so the child
-    transport can name the destination slot in routed sends and claims.
-    """
-    if isinstance(value, _MailboxRef):
-        return RegistryMailbox(value.name, registry[value.index], value.index)
-    if isinstance(value, dict):
-        return {key: _decode_wire(item, registry) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return type(value)(_decode_wire(item, registry) for item in value)
-    return value
-
-
 # ---------------------------------------------------------------------- child side
 
 
 class _JobAborted(Exception):
-    """Raised inside a pooled worker when the parent flags the current job aborted."""
+    """Raised inside a pooled worker when the parent aborts the current job."""
 
 
 class _ParentGone(Exception):
@@ -253,9 +219,9 @@ class _ChildTransport:
     a respawned worker can replay the job from the full history, and the per-job
     send sequence number lets the parent suppress the replay's duplicate outputs
     — the same claim/log/forwarded design the sockets cluster coordinator uses.
-    Every channel has one writer: this worker on its record pipe, the parent on
-    each mailbox queue and job pipe — so a worker killed at any instant damages
-    nothing a sibling reads or writes.
+    Every channel has one writer: this worker on its record pipe, the parent's
+    dispatcher on its job pipe — so a worker killed at any instant damages nothing a
+    sibling reads or writes.
     """
 
     name = "processes"
@@ -263,19 +229,19 @@ class _ChildTransport:
     def __init__(
         self,
         records: Any,
-        lifeline: Any,
+        jobs: Any,
         session_id: int,
         job_name: str,
-        abort_event: Any,
         receive_timeout: float,
     ):
         self._records = records
-        #: The worker's job pipe.  The parent writes nothing to it while a job runs,
-        #: so mid-job it becomes readable only at EOF — the driving process is gone.
-        self._lifeline = lifeline
+        #: The worker's job pipe.  While a job runs it brings that job's deliveries,
+        #: which wait in ``_inbox`` by mailbox until read, and its abort; it reaches
+        #: EOF when the driving process is gone.
+        self._jobs = jobs
+        self._inbox: Dict[int, Deque[Any]] = {}
         self._session_id = session_id
         self._job_name = job_name
-        self._abort = abort_event
         self._timeout = receive_timeout
         self._started = time.perf_counter()
         self._send_seq = 0
@@ -283,7 +249,7 @@ class _ChildTransport:
         self.messages = 0
         self.bytes = 0
 
-    def _route(self, mailbox: "RegistryMailbox", message: Any) -> None:
+    def _route(self, mailbox: PooledMailbox, message: Any) -> None:
         self._send_seq += 1
         _write_record(
             self._records,
@@ -292,7 +258,7 @@ class _ChildTransport:
         )
 
     def send(self, source: int, destination: int, message: Any, size_bytes: int,
-             mailbox: "RegistryMailbox") -> None:
+             mailbox: PooledMailbox) -> None:
         if _faults.ACTIVE is not None:
             replacement = apply_send_faults(mailbox.name, message)
             if replacement is not None:
@@ -312,7 +278,7 @@ class _ChildTransport:
     def now(self) -> float:
         return time.perf_counter() - self._started
 
-    def receive(self, mailbox: "RegistryMailbox") -> Any:
+    def receive(self, mailbox: PooledMailbox) -> Any:
         if mailbox.index not in self._claimed:
             # Claim before the first blocking read: the claim is what turns the
             # mailbox's deliveries towards this worker, and if this process dies
@@ -331,41 +297,44 @@ class _ChildTransport:
                 if hit.action == "crash":
                     os._exit(3)  # a hard, SIGKILL-like death
                 raise FaultError("worker.crash", hit.action, self._job_name)
-        # Genuinely blocking: the worker sleeps in the OS until a message (or a
-        # WakeToken injected by the parent's abort path) lands in the mailbox, so the
-        # per-message latency floor is the transport itself, not a poll tick.
+        # Genuinely blocking: the worker sleeps in the OS until a frame lands on its
+        # job pipe, so the per-message latency floor is the pipe itself, not a tick.
+        pending = self._inbox.get(mailbox.index)
         deadline = time.monotonic() + self._timeout
-        waitables = [mailbox.queue._reader, self._lifeline]
-        while True:
-            if self._abort.is_set():
-                raise _JobAborted()
-            ready = multiprocessing.connection.wait(
-                waitables, max(0.0, deadline - time.monotonic())
-            )
-            if self._lifeline in ready:
-                raise _ParentGone()
-            message = deadline_get(
-                mailbox.queue, deadline, self._timeout, "pooled worker", mailbox.name
-            )
-            if isinstance(message, WakeToken):
-                continue
-            return _opened(message)
+        while not pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._jobs.poll(remaining):
+                raise receive_timed_out("pooled worker", self._timeout, mailbox.name)
+            self._read_frame()
+            pending = self._inbox.get(mailbox.index)
+        return _opened(pending.popleft())
+
+    def _read_frame(self) -> None:
+        """Take one frame off the job pipe: buffer a delivery, or unwind on an abort.
+
+        A frame for another session was meant for a job this worker ran earlier.
+        """
+        try:
+            frame = pickle.loads(self._jobs.recv_bytes())
+        except (EOFError, OSError) as error:
+            raise _ParentGone() from error
+        if frame[1] != self._session_id:
+            return
+        if frame[0] == "msg":
+            self._inbox.setdefault(frame[2], deque()).append(frame[3])
+        elif frame[0] == "abort" and frame[2] == self._job_name:
+            raise _JobAborted()
 
 
-def _pool_worker_main(
-    worker_index: int,
-    jobs: Any,
-    records: Any,
-    registry: List[Any],
-    abort_event: Any,
-) -> None:
+def _pool_worker_main(worker_index: int, jobs: Any, records: Any) -> None:
     """Entry point of a long-lived pooled worker process.
 
-    Reads pickled job specs from ``jobs`` until the pipe reaches EOF — the pool was
-    shut down, or the driving process died.  Shared bundles (grammar + plan) arrive
-    at most once and are cached by key for every later job.  A failing or aborted job
-    is reported on ``records`` and the worker stays alive for the next job — one bad
-    compilation never costs the pool a fork.
+    Reads frames from ``jobs`` until the pipe reaches EOF — the pool was shut down, or
+    the driving process died.  Between jobs only a job spec matters; a delivery or an
+    abort read then belongs to a job that is over.  Shared bundles (grammar + plan)
+    arrive at most once and are cached by key for every later job.  A failing or
+    aborted job is reported on ``records`` and the worker stays alive for the next job
+    — one bad compilation never costs the pool a fork.
 
     The cyclic collector runs only here, between jobs: the inherited heap is frozen,
     a job runs with automatic collection off, and once its last record is written and
@@ -380,10 +349,12 @@ def _pool_worker_main(
     adopted_fault_token: Optional[str] = os.environ.get(_faults.ENV_VAR)
     while True:
         try:
-            item = pickle.loads(jobs.recv_bytes())
+            frame = pickle.loads(jobs.recv_bytes())
         except (EOFError, OSError):
             return
-        fault_token = item[-1]
+        if frame[0] != "job":
+            continue
+        fault_token = frame[-1]
         # The fault plan ships with the job, like a (tiny) language bundle, so a
         # plan installed after this worker forked still reaches it; the token is
         # cached so an unchanged plan is decoded once per worker, and a cleared
@@ -395,40 +366,29 @@ def _pool_worker_main(
             except Exception:
                 _faults.ACTIVE = None
         try:
-            _run_pooled_job(jobs, records, registry, abort_event, shared_cache, item)
+            _run_pooled_job(jobs, records, shared_cache, frame)
         except _ParentGone:
             return
-        del item
+        del frame
         gc.collect()
 
 
 def _run_pooled_job(
-    jobs: Any,
-    records: Any,
-    registry: List[Any],
-    abort_event: Any,
-    shared_cache: Dict[int, Any],
-    item: Tuple,
+    jobs: Any, records: Any, shared_cache: Dict[int, Any], spec: Tuple
 ) -> None:
     """Run one job spec to its final record (done, aborted or error).
 
     A function of its own so that every exit releases the job's locals before the
     worker's between-jobs collection.
     """
-    session_id, name, payload_blob, shared_blobs, receive_timeout, _ = item
-    # The abort event is cleared by the PARENT (under its lock) when this job is
-    # assigned and when job-completion records are processed; clearing it here
-    # could erase an abort meant for this very job.
+    _, session_id, name, payload_blob, shared_blobs, receive_timeout, _ = spec
     try:
         for key, blob in shared_blobs.items():
             shared_cache[key] = pickle.loads(blob)
-        factory, encoded_kwargs, shared_keys = pickle.loads(payload_blob)
-        kwargs = _decode_wire(encoded_kwargs, registry)
+        factory, kwargs, shared_keys = pickle.loads(payload_blob)
         for argument, key in shared_keys.items():
             kwargs[argument] = shared_cache[key]
-        transport = _ChildTransport(
-            records, jobs, session_id, name, abort_event, receive_timeout
-        )
+        transport = _ChildTransport(records, jobs, session_id, name, receive_timeout)
         body = factory(transport, **kwargs)
         drive(body, transport.receive)
         final: Tuple = ("done", session_id, name, transport.messages, transport.bytes)
@@ -448,46 +408,84 @@ class _PoolWorker:
     """Parent-side bookkeeping for one long-lived worker process."""
 
     __slots__ = (
-        "index", "process", "jobs", "records", "abort_event", "known_keys", "current",
-        "inflight",
+        "index", "process", "jobs", "records", "outbox", "written", "wake",
+        "known_keys", "current", "inflight",
     )
 
-    def __init__(self, index: int, process: Any, jobs: Any, records: Any, abort_event: Any):
+    def __init__(self, index: int, process: Any, jobs: Any, records: Any, wake: Any):
         self.index = index
         self.process = process
-        self.jobs = jobs          # write end of the worker's job pipe
+        self.jobs = jobs          # write end of the worker's job pipe (non-blocking)
         self.records = records    # read end of the worker's record pipe
-        self.abort_event = abort_event
+        #: Framed bytes waiting for the job pipe, and how much of the first is in it.
+        self.outbox: Deque[bytes] = deque()
+        self.written = 0
+        self.wake = wake          # rouses the dispatcher, which alone writes ``jobs``
         self.known_keys: set = set()
         self.current: Optional[Tuple[int, str]] = None  # (session_id, job name)
         #: Everything needed to re-execute the current job on a respawned worker:
         #: (session_id, name, payload_blob, shared key tuple, receive_timeout).
         self.inflight: Optional[Tuple[int, str, bytes, Tuple[int, ...], float]] = None
 
+    def post(self, frame: Tuple) -> None:
+        """Queue one frame for the worker (any thread); the dispatcher writes it."""
+        self.outbox.append(_framed(frame))
+        self.wake()
+
+    def flush(self) -> bool:
+        """Write what the job pipe takes now (dispatcher only); True once all is out.
+
+        A worker that died has nobody left to read its frames: they are dropped, and
+        the dispatcher, which buries the worker, replays its job on a replacement.
+        """
+        outbox = self.outbox
+        while outbox:
+            try:
+                self.written += os.write(
+                    self.jobs.fileno(), memoryview(outbox[0])[self.written:]
+                )
+            except BlockingIOError:
+                return False
+            except OSError:
+                outbox.clear()
+                self.written = 0
+                return True
+            if self.written == len(outbox[0]):
+                outbox.popleft()
+                self.written = 0
+        return True
+
     def assign(self, inflight: Tuple, shared_blobs: Dict[int, bytes],
                fault_token: Optional[str]) -> None:
-        """Write one job spec to the worker and record it as the worker's job.
-
-        The spec is pickled and written by the caller.  A worker that died since it
-        was last seen alive has closed the pipe; the job is recorded all the same, so
-        the dispatcher, which buries the worker next, replays it on a replacement.
-        """
+        """Queue one job spec for the worker and record it as the worker's job."""
         session_id, name, payload_blob, _, receive_timeout = inflight
-        # A stale abort (from a previous assignment, already settled under the
-        # substrate lock) must not leak into the job about to be written; clear
-        # before the write — the child may read it immediately.
-        self.abort_event.clear()
-        spec = (session_id, name, payload_blob, shared_blobs, receive_timeout, fault_token)
-        try:
-            self.jobs.send_bytes(pickle.dumps(spec, pickle.HIGHEST_PROTOCOL))
-        except OSError:
-            pass
-        # Blobs count as known only from here, once written — marking earlier would
-        # let a submit that failed before the write poison the cache for every later
+        self.post(("job", session_id, name, payload_blob, shared_blobs,
+                   receive_timeout, fault_token))
+        # Blobs count as known only from here — marking earlier would let a submit
+        # that failed before the spec was queued poison the cache for every later
         # compilation.
         self.known_keys.update(shared_blobs)
         self.current = (session_id, name)
         self.inflight = inflight
+
+
+class _WorkerInbox:
+    """The sink of a mailbox a worker job claimed: each delivery, a frame to it.
+
+    Wake tokens rouse readers in the driving process only; a worker job is stopped
+    by an abort frame, or by EOF on its job pipe.
+    """
+
+    __slots__ = ("worker", "session_id", "index")
+
+    def __init__(self, worker: _PoolWorker, session_id: int, index: int):
+        self.worker = worker
+        self.session_id = session_id
+        self.index = index
+
+    def put(self, message: Any) -> None:
+        if type(message) is not WakeToken:
+            self.worker.post(("msg", self.session_id, self.index, message))
 
 
 class ProcessesSubstrate(Substrate):
@@ -505,7 +503,6 @@ class ProcessesSubstrate(Substrate):
     def __init__(
         self,
         workers: int = 0,
-        mailbox_capacity: int = 128,
         receive_timeout: Optional[float] = None,
         max_respawns: Optional[int] = None,
     ):
@@ -520,22 +517,16 @@ class ProcessesSubstrate(Substrate):
         self.receive_timeout = (
             self.DEFAULT_RECEIVE_TIMEOUT if receive_timeout is None else receive_timeout
         )
-        self.mailbox_capacity = mailbox_capacity
         self.max_respawns = self.MAX_RESPAWNS if max_respawns is None else max_respawns
         self._initial_workers = workers
         self._lock = threading.Lock()
         self._workers: List[_PoolWorker] = []
         self._next_worker_index = 0
-        self._registry: List[Any] = []
-        self._free_mailboxes: List[int] = []
-        #: Registry slots permanently taken out of circulation after a worker
-        #: death: live workers forked earlier still hold the pre-replacement
-        #: queue for these indexes, so re-leasing them could silently split a
-        #: mailbox across two queues.  Recovery is rare; leaking a slot is safe.
-        self._retired_slots: Set[int] = set()
-        #: The queues those slots held, kept only to be closed at shutdown.
-        self._retired_queues: List[Any] = []
         self._respawns = 0
+        #: Guards the wake pipe and ``_wake_pending``: at most one wake is ever in
+        #: the pipe, so a wake never blocks, whatever lock its caller holds.
+        self._wake_lock = threading.Lock()
+        self._wake_pending = False
         self._wake_reader: Optional[Any] = None
         self._wake_writer: Optional[Any] = None
         self._dispatcher: Optional[threading.Thread] = None
@@ -561,12 +552,6 @@ class ProcessesSubstrate(Substrate):
                 self._wake_reader, self._wake_writer = self._context.Pipe(duplex=False)
                 with _FORK_LOCK:
                     _PARENT_ENDS.update((self._wake_reader, self._wake_writer))
-                # The whole mailbox registry is created before the first fork so
-                # every worker — including ones forked later to grow the pool —
-                # inherits every transport handle a session could ever lease.
-                for _ in range(self.mailbox_capacity):
-                    self._registry.append(self._context.Queue())
-                self._free_mailboxes = list(range(self.mailbox_capacity))
                 for _ in range(self._initial_workers):
                     self._fork_worker_locked()
                 self._dispatcher = threading.Thread(
@@ -600,20 +585,13 @@ class ProcessesSubstrate(Substrate):
                     )
                 session._failed.set()
                 session._jobs_event.set()
-            for worker in workers:
-                # Abort flags must be set BEFORE the mailboxes are woken: a worker roused
-                # by a token re-checks its abort event and must find it already flipped,
-                # or it would go straight back to sleep with no second wake coming.
-                if worker.process.is_alive():
-                    worker.abort_event.set()
-            for session in sessions:
                 session._wake_mailboxes("processes substrate shut down")
             if self._dispatcher is not None:
                 self._wake_dispatcher()
                 self._dispatcher.join(timeout=5.0)
-            # Letting go of the pipes is the stop signal: an idle worker reads EOF on its
-            # job pipe and returns; one still unwinding a job finds its record pipe
-            # broken, or sees the EOF from its mailbox wait, and exits just the same.
+            # Letting go of the pipes is the stop signal: a worker reads EOF on its job
+            # pipe, idle or waiting for a message, and returns; one still computing
+            # finds its record pipe broken at its next write and exits just the same.
             for worker in workers:
                 _close_parent_ends(worker.jobs, worker.records)
             for worker in workers:
@@ -621,17 +599,11 @@ class ProcessesSubstrate(Substrate):
             with self._lock:
                 self._workers = []
         finally:
-            # Every transport the pool made goes on every path, a failed stop
-            # included: the wake pipe, and each registry queue and feeder thread.
-            with self._lock:
-                queues = self._registry + self._retired_queues
-                self._registry, self._retired_queues = [], []
-                self._free_mailboxes = []
-            for fifo in queues:
-                _close_queue(fifo)
-            _close_parent_ends(
-                *(end for end in (self._wake_reader, self._wake_writer) if end is not None)
-            )
+            # The wake pipe goes on every path, a failed stop included.
+            with self._wake_lock:
+                ends = (self._wake_reader, self._wake_writer)
+                self._wake_reader = self._wake_writer = None
+            _close_parent_ends(*(end for end in ends if end is not None))
 
     def session(
         self,
@@ -670,21 +642,18 @@ class ProcessesSubstrate(Substrate):
             if hit is not None:
                 raise FaultError("worker.spawn", hit.action, f"worker-{self._next_worker_index}")
         # Forking here is safe even though the parent is multi-threaded (dispatcher,
-        # service executors, other sessions' coordinators may be mid-put on a mailbox
-        # queue): multiprocessing.Queue registers an after-fork hook that re-inits
-        # its internal condition lock and buffer in the child (Queue._reset with
-        # after_fork=True), the pipes carry no lock at all, and the child's first
-        # action is our own worker loop, which touches nothing else inherited.
+        # service executors, other sessions' coordinators may be mid-post to an
+        # outbox): the pipes carry no lock at all, and the child's first action is
+        # our own worker loop, which touches nothing else inherited.
         index = self._next_worker_index
         self._next_worker_index += 1
-        abort_event = self._context.Event()
         with _FORK_LOCK:
             jobs_reader, jobs_writer = self._context.Pipe(duplex=False)
             records_reader, records_writer = self._context.Pipe(duplex=False)
             _PARENT_ENDS.update((jobs_writer, records_reader))
             process = self._context.Process(
                 target=_pool_worker_main,
-                args=(index, jobs_reader, records_writer, self._registry, abort_event),
+                args=(index, jobs_reader, records_writer),
                 name=f"repro-pool-worker-{index}",
                 daemon=True,
             )
@@ -698,67 +667,26 @@ class ProcessesSubstrate(Substrate):
             finally:
                 jobs_reader.close()
                 records_writer.close()
-        worker = _PoolWorker(index, process, jobs_writer, records_reader, abort_event)
+        os.set_blocking(jobs_writer.fileno(), False)
+        worker = _PoolWorker(
+            index, process, jobs_writer, records_reader, self._wake_dispatcher
+        )
         self._workers.append(worker)
         self._wake_dispatcher()  # its wait set is one worker short
         return worker
 
     def _wake_dispatcher(self) -> None:
-        self._wake_writer.send_bytes(b"!")
+        """Make the dispatcher re-read the pool and flush every outbox.
 
-    def _lease_mailbox(self, name: str) -> RegistryMailbox:
-        with self._lock:
-            if self._stopped:
-                raise BackendError("processes substrate has been shut down")
-            if not self._started:
-                raise BackendError("processes substrate not started")
-            if not self._free_mailboxes:
-                raise BackendError(
-                    f"mailbox registry exhausted ({self.mailbox_capacity} slots); "
-                    "raise mailbox_capacity or lower the number of concurrent sessions"
-                )
-            index = self._free_mailboxes.pop()
-        return RegistryMailbox(name, self._registry[index], index)
-
-    def _release_mailboxes(self, leased: List[RegistryMailbox], settle: bool) -> None:
-        """Empty and return leased registry slots so the next lease starts empty.
-
-        Only a mailbox a worker claimed ever had its slot's queue written.  A clean
-        run leaves that queue empty by protocol, so the fast path never blocks;
-        after a failed run (``settle``) the queue's feeder thread in this process
-        may still be writing wake tokens and undelivered messages into the pipe, and
-        the drain waits a moment for them to land.  Once the pool is shut down its
-        queues are closed, and there is nothing left to empty or return.
+        Its own calls return at once: it does both before it sleeps again.
         """
-        for mailbox in leased:
-            if mailbox.sink is mailbox.queue and not self._stopped:
-                try:
-                    drain_fifo(mailbox.queue, settle_timeout=0.1 if settle else 0.0)
-                except (OSError, ValueError):
-                    return  # shutdown() closed the queue under us
-        with self._lock:
-            if self._stopped:
+        if threading.current_thread() is self._dispatcher:
+            return
+        with self._wake_lock:
+            if self._wake_pending or self._wake_writer is None:
                 return
-            for mailbox in leased:
-                if mailbox.index in self._retired_slots:
-                    continue  # replaced after a worker death; never re-lease
-                self._free_mailboxes.append(mailbox.index)
-
-    def _replace_registry_slot(self, index: int) -> Any:
-        """Swap registry slot ``index`` for a fresh queue and retire the slot.
-
-        Called during worker-death recovery, *before* the replacement fork, so
-        the respawned worker inherits the fresh queue under the same index and
-        the job's pickled payload (which references mailboxes by index) replays
-        unchanged.  The old queue — its read side possibly left mid-frame or with
-        its reader lock held by the death — is never read again; shutdown closes it.
-        """
-        with self._lock:
-            fresh = self._context.Queue()
-            self._retired_queues.append(self._registry[index])
-            self._registry[index] = fresh
-            self._retired_slots.add(index)
-            return fresh
+            self._wake_pending = True
+            self._wake_writer.send_bytes(b"!")
 
     def _shared_entry(self, obj: Any) -> int:
         # Two dedup regimes.  A SharedBundle carries an explicit stable name (the
@@ -848,7 +776,7 @@ class ProcessesSubstrate(Substrate):
                             shared_blobs[key] = self._shared_blob(key)
                     try:
                         payload_blob = pickle.dumps(
-                            (job.factory, _encode_wire(dict(job.kwargs)), shared_keys)
+                            (job.factory, dict(job.kwargs), shared_keys)
                         )
                     except Exception as error:
                         raise BackendError(
@@ -873,45 +801,52 @@ class ProcessesSubstrate(Substrate):
             self._evict_delivered_blobs_locked()
 
     def _abort_session(self, session: "ProcessesSession") -> None:
-        """Flag every pooled worker still running a job of ``session`` to unwind.
+        """Tell every pooled worker still running a job of ``session`` to unwind.
 
-        The abort event alone is not enough with blocking receives — a worker asleep
-        on its mailbox never looks at it — so the session's mailboxes are also woken
-        with tokens; the roused worker re-checks the event and unwinds.
+        A worker reads the abort frame at its next wait for a message; bodies of the
+        driving process are woken with tokens.
         """
         with self._lock:
             for worker in self._workers:
                 if worker.current is not None and worker.current[0] == session.session_id:
-                    worker.abort_event.set()
+                    worker.post(("abort",) + worker.current)
         session._wake_mailboxes("session aborted")
 
     # ----------------------------------------------------------------- dispatcher
 
     def _dispatch_loop(self) -> None:
-        """Route worker records and bury dead workers until shutdown.
+        """Route worker records, write worker frames and bury dead workers until shutdown.
 
-        Sleeps in ``connection.wait`` over every worker's record pipe and process
-        sentinel, and the wake pipe: a record is routed the moment it lands, a death
-        is handled the moment it happens, and a wake (a worker was forked, or
-        ``shutdown()`` was called) makes the loop re-read the pool.
+        Each round first writes every outbox as far as its pipe takes it, then sleeps
+        in a poll over every worker's record pipe and process sentinel, the wake pipe,
+        and the job pipes that still have bytes to take: a record is routed the moment
+        it lands, a death is handled the moment it happens, and a wake (a frame was
+        queued, a worker was forked, or ``shutdown()`` was called) starts a new round.
         """
+        wake = self._wake_reader
         while True:
             with self._lock:
                 if self._stopped:
                     return
                 workers = list(self._workers)
-            sources: Dict[Any, Optional[_PoolWorker]] = {self._wake_reader: None}
-            for worker in workers:
-                sources[worker.records] = worker
-                sources[worker.process.sentinel] = worker
+            with selectors.PollSelector() as selector:
+                selector.register(wake, selectors.EVENT_READ)
+                for worker in workers:
+                    selector.register(worker.records, selectors.EVENT_READ, worker)
+                    selector.register(worker.process.sentinel, selectors.EVENT_READ, worker)
+                    if not worker.flush():
+                        selector.register(worker.jobs, selectors.EVENT_WRITE)
+                ready = selector.select()
             dead: List[_PoolWorker] = []
-            for source in multiprocessing.connection.wait(list(sources)):
-                worker = sources[source]
-                if worker is None:
-                    self._wake_reader.recv_bytes()
-                elif worker in dead:
-                    continue
-                elif source is not worker.records or not self._read_record(worker):
+            for key, _ in ready:
+                worker = key.data
+                if key.fileobj is wake:
+                    wake.recv_bytes()
+                    with self._wake_lock:
+                        self._wake_pending = False
+                elif worker is None or worker in dead:
+                    continue  # a job pipe with room again: the next round writes it
+                elif key.fileobj is not worker.records or not self._read_record(worker):
                     dead.append(worker)
             for worker in dead:
                 self._bury(worker)
@@ -942,7 +877,7 @@ class ProcessesSubstrate(Substrate):
         if tag == "claim":
             # ("claim", session_id, job name, mailbox index)
             if session is not None:
-                session._note_claim(record[2], record[3])
+                session._note_claim(worker, record[2], record[3])
             return
         if tag == "report":
             if session is not None:
@@ -951,7 +886,6 @@ class ProcessesSubstrate(Substrate):
         with self._lock:
             worker.current = None
             worker.inflight = None
-            worker.abort_event.clear()
         if session is None:
             return
         if tag == "done":
@@ -992,11 +926,11 @@ class ProcessesSubstrate(Substrate):
         """Re-execute a dead worker's in-flight job on a freshly forked worker.
 
         Worker jobs are deterministic functions of their mailbox message
-        sequence, so replaying the same payload against the rebuilt mailbox
-        history (see :meth:`ProcessesSession._reset_claimed_mailboxes`) produces
-        a byte-identical result; the dispatcher's forwarded watermark swallows
-        the replay's duplicate outputs.  Runs on the dispatcher thread, so it
-        never races :meth:`_handle_record`.
+        sequence, so replaying the same payload against the same mailbox history
+        (see :meth:`ProcessesSession._rebind_claimed_mailboxes`) produces a
+        byte-identical result; the dispatcher's forwarded watermark swallows the
+        replay's duplicate outputs.  Runs on the dispatcher thread, so it never
+        races :meth:`_handle_record`.
         """
         inflight = worker.inflight
         if inflight is None:
@@ -1009,9 +943,6 @@ class ProcessesSubstrate(Substrate):
             )
             return
         try:
-            # Fresh queues for the dead job's claimed mailboxes FIRST, so the
-            # replacement forks with the updated registry.
-            session._reset_claimed_mailboxes(name, self)
             shared_keys = inflight[3]
             with self._lock:
                 if self._stopped:
@@ -1028,6 +959,9 @@ class ProcessesSubstrate(Substrate):
                 # turn every injected crash into a crash loop.  A real SIGKILL
                 # doesn't recur on the replacement either.
                 replacement.assign(inflight, shared_blobs, None)
+            # Behind the spec, on the same pipe: the history of every mailbox the
+            # dead job had claimed, and from now on what is delivered to them.
+            session._rebind_claimed_mailboxes(name, replacement)
         except BaseException as error:  # noqa: BLE001 — surfaced as a typed job failure
             session._job_failed(name, f"{detail}; respawn failed: {error!r}")
             return
@@ -1047,17 +981,14 @@ class ProcessesSession(Backend):
         self.receive_timeout = receive_timeout
         self._worker_jobs: List[Tuple[WorkerJob, str]] = []
         self._coordinators: List[Tuple[Generator, str]] = []
-        self._leased: List[RegistryMailbox] = []
         self._failed = threading.Event()
         self._errors: List[Tuple[str, str]] = []
         self._lock = threading.Lock()
-        # Routing state: mailbox logs and sinks, claims and the per-job forwarded
-        # watermark, all under _route_lock.  NOTE on lock order: _route_lock may
-        # nest the substrate lock inside it (via _replace_registry_slot); never the
-        # other way around.
+        # Routing state: the mailboxes with their logs and sinks, claims and the
+        # per-job forwarded watermark, all under _route_lock.
         self._route_lock = threading.Lock()
-        self._by_index: Dict[int, RegistryMailbox] = {}
-        self._claims: Dict[str, Set[int]] = {}     # job name -> claimed slots
+        self._mailboxes: Dict[int, PooledMailbox] = {}
+        self._claims: Dict[str, Set[int]] = {}     # job name -> claimed mailboxes
         self._forwarded: Dict[str, int] = {}       # job name -> last forwarded seq
         self._wake_reason: Optional[str] = None    # set once receivers were roused
         self._replay_attempts: Dict[str, int] = {}
@@ -1070,11 +1001,10 @@ class ProcessesSession(Backend):
 
     # ----------------------------------------------------------------- plumbing
 
-    def mailbox(self, name: str) -> RegistryMailbox:
-        mailbox = self._substrate._lease_mailbox(name)
-        self._leased.append(mailbox)
+    def mailbox(self, name: str) -> PooledMailbox:
         with self._route_lock:
-            self._by_index[mailbox.index] = mailbox
+            mailbox = PooledMailbox(name, len(self._mailboxes))
+            self._mailboxes[mailbox.index] = mailbox
         return mailbox
 
     def spawn(
@@ -1107,7 +1037,7 @@ class ProcessesSession(Backend):
         size_bytes: int,
         mailbox: Mailbox,
     ) -> None:
-        assert isinstance(mailbox, RegistryMailbox)
+        assert isinstance(mailbox, PooledMailbox)
         messages = [message]
         if _faults.ACTIVE is not None:
             replacement = apply_send_faults(mailbox.name, message)
@@ -1159,33 +1089,26 @@ class ProcessesSession(Backend):
             )
 
     def _close(self) -> None:
-        settle, wedged = bool(self._errors), False
         if self._ran and not self._jobs_event.is_set():
             # The compilation is being torn down mid-flight (an error escaped
             # between run() and report collection, or run() itself raised):
-            # unwind our coordinators and flag our pooled workers so they
+            # unwind our coordinators and abort our pooled workers' jobs so they
             # return to the pool.
             self._failed.set()
             self._substrate._abort_session(self)
-            settle, wedged = True, not self._jobs_event.wait(timeout=10.0)
+            self._jobs_event.wait(timeout=10.0)
         self._substrate._unregister(self)
-        if not wedged:
-            # A worker still wedged in this session's compute after the grace period
-            # keeps the leased slots out of circulation: one re-leased to a new
-            # session could receive a late message from this dead compilation.
-            self._substrate._release_mailboxes(self._leased, settle=settle)
-        self._leased = []
 
     # ---------------------------------------------------------------- internals
 
-    def _deliver_locked(self, mailbox: RegistryMailbox, message: Any) -> None:
+    def _deliver_locked(self, mailbox: PooledMailbox, message: Any) -> None:
         """Log one delivery and, if the mailbox has a reader yet, hand it over."""
         mailbox.log.append(message)
         if mailbox.sink is not None:
             mailbox.sink.put(message)
 
-    def _bind_locked(self, mailbox: RegistryMailbox, sink: Any) -> None:
-        """Give a mailbox its reader's queue, starting with everything logged so far.
+    def _bind_locked(self, mailbox: PooledMailbox, sink: Any) -> None:
+        """Give a mailbox its reader's sink, starting with everything logged so far.
 
         A reader that turns up after the session's receivers were roused gets its
         wake token here, behind the history.
@@ -1197,13 +1120,12 @@ class ProcessesSession(Backend):
             sink.put(WakeToken(self._wake_reason))
 
     def _wake_mailboxes(self, reason: str) -> None:
-        """Rouse every receiver (pooled worker or coordinator) blocked on a mailbox
-        this session leased.  Stray tokens are drained with the mailbox at release.
+        """Rouse every coordinator body blocked on a mailbox of this session.
         Tokens are deliberately NOT logged: a replayed job must see the protocol's
         message history, not the teardown chatter around a past crash."""
         with self._route_lock:
             self._wake_reason = reason
-            for mailbox in self._leased:
+            for mailbox in self._mailboxes.values():
                 if mailbox.sink is not None:
                     mailbox.sink.put(WakeToken(reason))
 
@@ -1219,32 +1141,31 @@ class ProcessesSession(Backend):
             if seq <= self._forwarded.get(job_name, 0):
                 return
             self._forwarded[job_name] = seq
-            mailbox = self._by_index.get(index)
+            mailbox = self._mailboxes.get(index)
             if mailbox is not None:
                 self._deliver_locked(mailbox, message)
 
-    def _note_claim(self, job_name: str, index: int) -> None:
-        """A worker job is about to read mailbox ``index`` (dispatcher thread)."""
+    def _note_claim(self, worker: _PoolWorker, job_name: str, index: int) -> None:
+        """``worker``'s job is about to read mailbox ``index`` (dispatcher thread)."""
         with self._route_lock:
             self._claims.setdefault(job_name, set()).add(index)
-            mailbox = self._by_index.get(index)
+            mailbox = self._mailboxes.get(index)
             if mailbox is not None and mailbox.sink is None:
-                self._bind_locked(mailbox, mailbox.queue)
+                self._bind_locked(mailbox, _WorkerInbox(worker, self.session_id, index))
 
-    def _reset_claimed_mailboxes(self, job_name: str, substrate: ProcessesSubstrate) -> None:
-        """Rebuild every mailbox the dead job had claimed into a fresh queue.
+    def _rebind_claimed_mailboxes(self, job_name: str, worker: _PoolWorker) -> None:
+        """Turn every mailbox the dead job had claimed towards its replacement.
 
-        Each claimed slot gets a brand-new queue (:meth:`ProcessesSubstrate.
-        _replace_registry_slot`), refilled from the mailbox's full message log, so
-        the respawned worker replays the job against byte-identical history.
+        Each mailbox's full log goes to ``worker`` first, so the replay reads the same
+        history, message for message, as the attempt that died.
         """
         with self._route_lock:
             for index in sorted(self._claims.get(job_name, ())):
-                mailbox = self._by_index.get(index)
-                if mailbox is None:
-                    continue
-                mailbox.queue = substrate._replace_registry_slot(index)
-                self._bind_locked(mailbox, mailbox.queue)
+                mailbox = self._mailboxes.get(index)
+                if mailbox is not None:
+                    self._bind_locked(
+                        mailbox, _WorkerInbox(worker, self.session_id, index)
+                    )
 
     def _bump_replay_attempts(self, job_name: str) -> int:
         with self._lock:
@@ -1287,7 +1208,7 @@ class ProcessesSession(Backend):
             self._failed.set()
             self._substrate._abort_session(self)
 
-    def _coordinator_receive(self, mailbox: RegistryMailbox, who: str) -> Any:
+    def _coordinator_receive(self, mailbox: PooledMailbox, who: str) -> Any:
         if mailbox.sink is None:
             # First read by a body of this process: from here on the mailbox is a
             # plain in-process queue, and nothing sent to it is pickled.

@@ -166,6 +166,12 @@ class SocketsSubstrate(Substrate):
             session._jobs_event.set()
             session._wake_mailboxes("sockets substrate shut down")
         self._coordinator.shutdown()
+        # A local worker that never finished its handshake is still dialling: it
+        # would keep at it for its whole connect timeout, so it is stopped here.
+        joined = self._coordinator.directory.pids()
+        for process in local:
+            if process.pid not in joined:
+                process.kill()
         deadline = time.monotonic() + 5.0
         for process in local:
             try:
@@ -423,9 +429,8 @@ class SocketsSession(Backend):
             self._failed.set()
             self._substrate._abort_session(self)
             self._jobs_event.wait(timeout=10.0)
-        # Unlike the processes registry there is nothing to leak on a wedged run:
-        # mailbox uids are never reused, and the coordinator drops late frames for
-        # released sessions on the floor.
+        # Nothing can leak on a wedged run: mailbox uids are never reused, and the
+        # coordinator drops late frames for released sessions on the floor.
         self._substrate.coordinator.release_session(self.session_id)
         self._leased = []
         self._substrate._unregister(self)

@@ -46,7 +46,7 @@ from repro.faults import plan as _faults
 
 
 class QueueMailbox(Mailbox):
-    """A mailbox backed by a FIFO queue (``queue.Queue`` or ``multiprocessing.Queue``)."""
+    """A mailbox backed by a ``queue.Queue``."""
 
     __slots__ = ("queue",)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 
 @dataclass
@@ -85,6 +85,15 @@ class WorkerDirectory:
     def alive(self) -> List[WorkerInfo]:
         with self._lock:
             return [info for info in self._workers.values() if info.alive]
+
+    def pids(self) -> Set[int]:
+        """The process id every worker that ever joined gave in its handshake."""
+        with self._lock:
+            return {
+                info.capabilities["pid"]
+                for info in self._workers.values()
+                if "pid" in info.capabilities
+            }
 
     def alive_count(self) -> int:
         return len(self.alive())

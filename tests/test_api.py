@@ -360,20 +360,6 @@ class TestSessionLifecycle:
         with pytest.raises(repro.backends.BackendError):
             pool.session(2)
 
-    @requires_fork
-    def test_processes_session_close_releases_mailboxes_after_abort(self):
-        """Leased registry slots return to the free list on the abort path."""
-        pool = create_substrate("processes", receive_timeout=TIMEOUT)
-        with pool:
-            free_before = len(pool._free_mailboxes)
-            session = pool.session(2)
-            session.mailbox("one")
-            session.mailbox("two")
-            assert len(pool._free_mailboxes) == free_before - 2
-            session.close()  # never ran: close must return both leases
-            session.close()  # idempotent
-            assert len(pool._free_mailboxes) == free_before
-
 
 # ------------------------------------------------------------- per-phase stats
 

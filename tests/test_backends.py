@@ -326,14 +326,17 @@ class TestProtocolPickling:
         assert clone.size_bytes() == message.size_bytes()
 
     @requires_fork
-    def test_round_trip_through_multiprocessing_queue(self):
-        context = multiprocessing.get_context("fork")
-        fifo = context.Queue()
-        originals = _sample_messages()
-        for message in originals:
-            fifo.put(message)
-        for message in originals:
-            clone = fifo.get(timeout=10)
+    def test_round_trip_through_a_worker_frame(self):
+        """The frame the pooled substrate writes to a worker's job pipe, read back
+        the way the worker reads it."""
+        from repro.backends.processes import _framed
+
+        reader, writer = multiprocessing.get_context("fork").Pipe(duplex=False)
+        for message in _sample_messages():
+            frame = _framed(("msg", 1, 0, message))
+            assert os.write(writer.fileno(), frame) == len(frame)
+            kind, session_id, mailbox_id, clone = pickle.loads(reader.recv_bytes())
+            assert (kind, session_id, mailbox_id) == ("msg", 1, 0)
             assert type(clone) is type(message)
             assert clone.size_bytes() == message.size_bytes()
             if isinstance(clone, SubtreeMessage):
@@ -342,8 +345,8 @@ class TestProtocolPickling:
                 assert clone.text.flatten() == message.text.flatten()
             if isinstance(clone, CodeFragmentMessage):
                 assert clone.text.flatten() == message.text.flatten()
-        fifo.close()
-        fifo.join_thread()
+        reader.close()
+        writer.close()
 
 
 def _tree_census_probe(transport):
@@ -517,19 +520,6 @@ class TestBackendRobustness:
         # Well under the 30s receive timeout: the wake token did its job.
         assert time_module.monotonic() - started < 5
 
-    def test_drain_fifo_empties_and_settles(self):
-        import queue as plain_queue
-
-        from repro.backends.base import drain_fifo
-
-        fifo = plain_queue.Queue()
-        for item in range(5):
-            fifo.put(item)
-        assert drain_fifo(fifo) == 5
-        assert drain_fifo(fifo) == 0
-        fifo.put("late")
-        assert drain_fifo(fifo, settle_timeout=0.05) == 1
-
     def test_threads_backend_surfaces_worker_failure(self):
         backend = create_backend("threads", machines=1, receive_timeout=5)
 
@@ -634,6 +624,24 @@ class TestOneShotLifecycle:
         engine = Compiler("pascal").engine
         reference = engine.compile_tree(tree, 4, backend="processes").code_text("code")
         fds, threads = _open_fds(), threading.active_count()
+        # A started pool holds its wake pipe and, per worker, its two pipe ends and
+        # the two the process object keeps: nothing else, whatever the pool has run.
+        held = {}
+        for workers in (2, 4):
+            with ProcessesSubstrate(workers=workers) as pool:
+                held[workers] = _open_fds() - fds
+                report = engine.compile_tree(tree, 4, substrate=pool)
+                assert report.code_text("code") == reference
+                assert not [
+                    thread.name for thread in threading.enumerate()
+                    if thread.name.startswith("QueueFeederThread")
+                ]
+            # No gc.collect(), no grace period: shutdown() let go of it all.
+            assert _open_fds() <= fds
+            assert threading.active_count() <= threads
+        two_more_workers = held[4] - held[2]
+        assert 0 < two_more_workers <= 8
+        assert held[2] <= 2 + two_more_workers
         refused = FaultPlan(seed=1, rules=[FaultRule("worker.spawn", action="error")])
         failures = 0
         for attempt in range(10):
@@ -649,8 +657,8 @@ class TestOneShotLifecycle:
             except (BackendError, FaultError):
                 failures += 1
         assert failures >= 1
-        # No gc.collect(): shutting the private pool down must free its queues,
-        # pipes, feeder threads and worker sentinels by itself.
+        # No gc.collect(): shutting the private pool down must free its pipes,
+        # dispatcher thread and worker sentinels by itself.
         patience = time.monotonic() + 2.0
         while (_open_fds(), threading.active_count()) > (fds, threads):
             if time.monotonic() >= patience:

@@ -380,6 +380,15 @@ def _failing_worker_body(transport, **kwargs):
     return body()
 
 
+def _read_last_mailbox(transport, boxes):
+    """A WorkerJob factory: one read on the last of ``boxes``, reported as it came."""
+
+    def body():
+        transport.publish_report(0, (yield Receive(boxes[-1])))
+
+    return body()
+
+
 class TestFailureTeardown:
     """A failing compilation must not leak workers or poison the pool."""
 
@@ -446,18 +455,44 @@ class TestFailureTeardown:
             session.close()
 
     @requires_fork
-    def test_mailbox_registry_exhaustion_is_loud(self):
-        with ProcessesSubstrate(mailbox_capacity=2, receive_timeout=TIMEOUT) as pool:
+    def test_sessions_lease_any_number_of_mailboxes(self):
+        def lease_and_read(pool, label):
             session = pool.session(1)
-            session.mailbox("a")
-            session.mailbox("b")
-            with pytest.raises(BackendError, match="registry exhausted"):
-                session.mailbox("c")
-            session.close()
-            # close() returned the leases, so a fresh session can allocate again.
-            other = pool.session(1)
-            other.mailbox("d")
-            other.close()
+            try:
+                boxes = [session.mailbox(f"{label}-{number}") for number in range(200)]
+                session.spawn(
+                    WorkerJob(factory=_read_last_mailbox, kwargs={"boxes": boxes}),
+                    name=f"{label}-reader",
+                )
+
+                def writer():
+                    session.send(0, 1, (label, len(boxes)), 1, mailbox=boxes[-1])
+                    return
+                    yield  # pragma: no cover — makes this a generator
+
+                session.spawn(writer(), name=f"{label}-writer", coordinator=True)
+                session.run()
+                return session.reports[0]
+            finally:
+                session.close()
+
+        with ProcessesSubstrate(receive_timeout=TIMEOUT) as pool:
+            assert lease_and_read(pool, "alone") == ("alone", 200)
+            # Two sessions at once on one pool: both number their mailboxes 0..199.
+            outcomes = {}
+
+            def run(label):
+                try:
+                    outcomes[label] = lease_and_read(pool, label)
+                except BaseException as error:  # noqa: BLE001 — asserted below
+                    outcomes[label] = error
+
+            threads = [threading.Thread(target=run, args=(label,)) for label in "ab"]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=TIMEOUT)
+            assert outcomes == {"a": ("a", 200), "b": ("b", 200)}
 
     def test_threads_shutdown_mid_run_fails_fast(self):
         pool = ThreadsSubstrate(receive_timeout=TIMEOUT)
