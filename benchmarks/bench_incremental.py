@@ -12,8 +12,8 @@ unavailable):
   shipped and evaluated);
 * **warm** — ``recompile()`` after a single-region edit: the token stream is
   spliced, only the damaged subtree is re-parsed, and only the dirty regions
-  (the edited region plus its region-tree ancestors) are shipped and evaluated —
-  the rest replay from the content-addressed cache.
+  (the edited region and the root region) are shipped and evaluated — the rest
+  replay from the content-addressed cache.
 
 Emits ``BENCH_incremental.json``.  Run standalone::
 

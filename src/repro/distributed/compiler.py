@@ -414,11 +414,9 @@ class ParallelCompiler:
             region_ids.append(region.region_id)
             if region.region_id in reuse:
                 # Clean region: replay its cached boundary traffic in the driving
-                # process instead of shipping and re-evaluating the subtree.  Its
-                # only live counterpart is a dirty parent (the dirty set is
-                # ancestor-closed, so a clean region never has a dirty child).
+                # process instead of shipping and re-evaluating the subtree, and
+                # check what its dirty neighbours send it ("early cutoff").
                 artifact = reuse[region.region_id]
-                parent = region.parent_region
                 body = replay_body(
                     session,
                     region_id=region.region_id,
@@ -426,9 +424,6 @@ class ParallelCompiler:
                     recording=artifact.recording,
                     base_report=artifact.report,
                     reuse_ids=set(reuse),
-                    live_sources=(
-                        [parent] if parent is not None and parent not in reuse else []
-                    ),
                     mailboxes=mailboxes,
                     machines_of_regions=machine_of_region,
                     librarian_machine=parser_machine if librarian_active else None,

@@ -424,7 +424,7 @@ class EvaluatorNode:
             return node  # LeafDescriptor from a descendant region: pass through
         self._fragment_counter += 1
         fragments.append((self._fragment_counter, node))
-        return LeafDescriptor(self.region_id, self._fragment_counter, len(node))
+        return LeafDescriptor(self.region_id, self._fragment_counter)
 
     def _apply_message(self, message: Any, scheduler) -> Generator:
         if not isinstance(message, AttributeMessage):

@@ -67,8 +67,7 @@ class RegionRecording:
       ``text`` is a single-leaf :class:`Rope` whatever tree the evaluator built.
 
     The root region's final ``ResultMessage``/``AssembleRequest`` traffic is *not*
-    recorded: the root region re-evaluates on every incremental run (every dirty
-    region's ancestors are dirty, and the root is everyone's ancestor).
+    recorded: the root region re-evaluates on every incremental run.
     """
 
     region_id: int = -1

@@ -7,10 +7,10 @@ clean region is represented by this lightweight body, which
    neighbours and code fragments to the string librarian (fragments must be re-sent
    because the librarian's fragment store is per-run, and the final code attribute is
    reassembled on every compilation);
-2. receives the live messages its dirty parent sends it and checks each against the
-   cached input signature — a mismatch means the region's cached outputs were
-   computed from stale inputs, so the driver must re-run with that region dirty
-   (this is the "hole-signature recheck" that propagates root-context changes);
+2. receives the live messages its dirty parent and children send it and checks each
+   against the cached input signature — a match stops the change here (early
+   cutoff); a mismatch means the region's cached outputs were computed from stale
+   inputs, so the engine must re-run with that region dirty;
 3. publishes the region's cached :class:`EvaluatorReport` (statistics and memory
    figures are properties of the region's content, which did not change).
 
@@ -24,7 +24,7 @@ cached signatures instead.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Generator, Iterable, Optional, Set
+from typing import Dict, Generator, Optional, Set
 
 from repro.backends.base import Backend, Mailbox, Receive
 from repro.distributed.evaluator_node import EvaluatorReport
@@ -40,7 +40,6 @@ def replay_body(
     recording: RegionRecording,
     base_report: EvaluatorReport,
     reuse_ids: Set[int],
-    live_sources: Iterable[int],
     mailboxes: Dict[int, Mailbox],
     machines_of_regions: Dict[int, int],
     librarian_machine: Optional[int] = None,
@@ -48,12 +47,11 @@ def replay_body(
 ) -> Generator:
     """Build the replay process body for one clean region.
 
-    ``live_sources`` are the dirty neighbour regions that will send this region
-    messages during the run (in the ancestor-closed dirty model that is at most the
-    parent region); the body expects exactly the recorded number of messages from
-    them, which is grammar-determined and therefore stable across runs.
+    Every recorded input came from a neighbour (the parent or a child region); the
+    ones not in ``reuse_ids`` are evaluated live this run and send this region
+    exactly the recorded number of messages, which is grammar-determined and
+    therefore stable across runs.
     """
-    live = set(live_sources)
     for send in recording.sends:
         if send[0] == "attr":
             _, target, direction, name, wire_value, size, priority = send
@@ -88,7 +86,7 @@ def replay_body(
                 mailbox=librarian_mailbox,
             )
 
-    expected = [key for key in recording.input_sigs if key[0] in live]
+    expected = [key for key in recording.input_sigs if key[0] not in reuse_ids]
     mismatches = []
     for _ in expected:
         message = yield Receive(mailboxes[region_id])

@@ -5,19 +5,20 @@ replay-and-record mode:
 
 1. plan the decomposition and fingerprint every region
    (:mod:`repro.incremental.fingerprint`);
-2. the *dirty* set is the content misses plus all their ancestors — a region's
-   evaluation consumes its children's synthesized boundary attributes, so dirtiness
-   propagates root-ward; the root region is always dirty (it delivers the final
-   result and assembly requests).  Clean-clean region boundaries whose cached
+2. the *dirty* set is the content misses plus the root region (it delivers the
+   final result and assembly requests).  Ancestors are not dirtied: code reaches a
+   parent as a librarian descriptor, so an edit inside one routine usually leaves
+   every ancestor's inputs unchanged.  Clean-clean region boundaries whose cached
    signatures disagree (artifacts from different builds) are dirtied up front;
 3. run the session: dirty regions are shipped and evaluated (recording their
    boundary traffic), clean regions are replayed from the cache;
-4. every replayed region checks the inherited values its dirty parent actually
-   sent against its cached *hole signatures*.  A mismatch means a root-context
-   change propagated into a content-clean region — that region joins the dirty set
-   and the session re-runs.  The loop is monotone (dirty only grows) and therefore
-   terminates; at the fixed point every cached input signature matches the live
-   boundary values, so the result is identical to a cold compile of the same tree.
+4. every replayed region checks the values its dirty parent and children actually
+   sent against its cached input signatures; a match stops the change there (early
+   cutoff).  A mismatch means a change propagated into a content-clean region —
+   that region and its ancestors join the dirty set and the session re-runs.  The
+   loop is monotone (dirty only grows) and therefore terminates; at the fixed point
+   every cached input signature matches the live boundary values, so the result is
+   identical to a cold compile of the same tree.
 
 Validation compares exact value signatures, never timings, which is what makes
 edit-then-recompile results equal to cold compiles byte for byte.
@@ -165,7 +166,6 @@ class IncrementalCompiler:
         dirty.update(
             region_id for region_id in keys if region_id != 0 and region_id not in artifacts
         )
-        self._close_over_ancestors(dirty, parent_of)
         self._dirty_inconsistent_edges(artifacts, dirty, parent_of)
 
         rounds = 0
@@ -193,14 +193,17 @@ class IncrementalCompiler:
             )
             if not plan.mismatches:
                 break
-            # A replayed region saw live inherited values that differ from its
-            # cached hole signatures: its outputs are stale.  Re-run with it
-            # evaluated for real — and with its whole region subtree, because a
-            # changed inherited context (symbol tables accumulate) almost always
-            # flows further down; dirtying descendants up front turns a
-            # chain-depth cascade of rounds into one.
-            for region_id, _key in plan.mismatches:
-                self._close_over_descendants(region_id, dirty, children_of)
+            # A replayed region saw live values that differ from its cached input
+            # signatures: its outputs are stale.  A changed inherited context
+            # (symbol tables accumulate) almost always flows further down, so a
+            # "down" mismatch dirties the region's whole subtree, turning a
+            # chain-depth cascade of rounds into one; an "up" one leaves the other
+            # children clean to check the region's live values themselves.
+            for region_id, (_source, direction, _name) in plan.mismatches:
+                if direction == "down":
+                    self._close_over_descendants(region_id, dirty, children_of)
+                else:
+                    dirty.add(region_id)
             self._close_over_ancestors(dirty, parent_of)
 
         # Refresh the cache with the final round's recordings (region 0 excluded:
@@ -256,24 +259,16 @@ class IncrementalCompiler:
     def _dirty_inconsistent_edges(artifacts, dirty, parent_of) -> None:
         """Dirty any clean region whose cached boundary disagrees with its clean parent's.
 
-        Dirty-parent boundaries are validated live by the replay bodies instead.
+        Only clean-clean boundaries need this: a boundary with a dirty side is
+        validated live by the replay body of its clean side.  Dirtying the child
+        turns the disagreeing boundary into such a live one, so one pass suffices.
         """
-        changed = True
-        while changed:
-            changed = False
-            for region_id, artifact in artifacts.items():
-                if region_id in dirty:
-                    continue
-                parent = parent_of.get(region_id)
-                if parent is None or parent in dirty:
-                    continue
-                parent_artifact = artifacts.get(parent)
-                if parent_artifact is None or not _edge_consistent(
-                    parent_artifact.recording,
-                    artifact.recording,
-                    parent,
-                    region_id,
-                ):
-                    dirty.add(region_id)
-                    IncrementalCompiler._close_over_ancestors(dirty, parent_of)
-                    changed = True
+        for region_id, artifact in artifacts.items():
+            parent = parent_of.get(region_id)
+            if region_id in dirty or parent is None or parent in dirty:
+                continue
+            # A clean parent is a cache hit (the root and every miss are dirty).
+            if not _edge_consistent(
+                artifacts[parent].recording, artifact.recording, parent, region_id
+            ):
+                dirty.add(region_id)

@@ -9,9 +9,9 @@ outputs besides its boundary inputs is unchanged:
   content;
 * its *wiring* — region id (which also fixes the paper's unique-identifier base),
   parent region, and which child region sits in which hole, in pre-order;
-* the *engine* — grammar registration key, evaluator kind and the configuration
-  knobs that alter evaluation or the wire protocol, plus the substrate and machine
-  count (folded into one engine digest).
+* the *engine* — artifact format, grammar registration key, evaluator kind and the
+  configuration knobs that alter evaluation or the wire protocol, plus the substrate
+  and machine count (folded into one engine digest).
 
 Two regions with identical text but different region ids hash differently on
 purpose: their evaluators draw unique identifiers (labels, temporaries) from
@@ -60,6 +60,11 @@ class FingerprintMemo:
         return len(self._hashes)
 
 
+#: Bumped when older artifacts no longer decode, so an old store misses cleanly.
+#: 2: ``LeafDescriptor`` lost its ``length`` slot.
+ARTIFACT_FORMAT = 2
+
+
 def engine_digest(
     bundle_key: str,
     evaluator: str,
@@ -71,6 +76,7 @@ def engine_digest(
     payload = "|".join(
         str(part)
         for part in (
+            ARTIFACT_FORMAT,
             bundle_key,
             evaluator,
             backend,

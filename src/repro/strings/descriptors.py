@@ -45,12 +45,11 @@ class StringDescriptor:
 class LeafDescriptor(StringDescriptor):
     """Reference to one code fragment held by the librarian."""
 
-    __slots__ = ("region_id", "fragment_id", "length")
+    __slots__ = ("region_id", "fragment_id")
 
-    def __init__(self, region_id: int, fragment_id: int, length: int):
+    def __init__(self, region_id: int, fragment_id: int):
         self.region_id = region_id
         self.fragment_id = fragment_id
-        self.length = length
 
     def fragment_ids(self) -> List[Tuple[int, int]]:
         return [(self.region_id, self.fragment_id)]
@@ -62,7 +61,7 @@ class LeafDescriptor(StringDescriptor):
         return lookup(self.region_id, self.fragment_id)
 
     def __repr__(self) -> str:
-        return f"LeafDescriptor(region={self.region_id}, fragment={self.fragment_id}, length={self.length})"
+        return f"LeafDescriptor(region={self.region_id}, fragment={self.fragment_id})"
 
 
 class LiteralDescriptor(StringDescriptor):

@@ -283,8 +283,8 @@ def _sample_messages():
     tree = parse_expression("1 + 2 * 3", grammar)
     linearized = linearize(tree)
     descriptor = ConcatDescriptor(
-        LeafDescriptor(1, 1, 4),
-        ConcatDescriptor(LiteralDescriptor(Rope.leaf("mid")), LeafDescriptor(2, 1, 5)),
+        LeafDescriptor(1, 1),
+        ConcatDescriptor(LiteralDescriptor(Rope.leaf("mid")), LeafDescriptor(2, 1)),
     )
     return [
         SubtreeMessage(

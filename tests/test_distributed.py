@@ -186,7 +186,7 @@ class TestEvaluatorIsFreedByReferenceCount:
 
         backend = create_backend("threads", machines=1)
         mailbox = backend.mailbox("evaluator-1.mailbox")
-        from_child = LeafDescriptor(2, 1, 40)
+        from_child = LeafDescriptor(2, 1)
         value = ConcatDescriptor(
             ConcatDescriptor(Rope.leaf("push 1\n"), from_child),
             LiteralDescriptor(Rope.leaf("add\n")),

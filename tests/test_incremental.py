@@ -5,8 +5,9 @@ The load-bearing guarantees:
 * full builds are byte-identical (values, errors, simulated-time stats) with the
   artifact cache enabled vs disabled, on every substrate;
 * an edit-then-recompile equals a cold compile of the edited source;
-* a single-region edit re-evaluates only the dirty regions (edited region plus its
-  region-tree ancestors), reported in ``CompileResult.incremental``;
+* a single-region edit re-evaluates only the dirty regions, reported in
+  ``CompileResult.incremental``; an edit whose boundary outputs are unchanged stops
+  there (early cutoff) instead of re-evaluating every region-tree ancestor;
 * root-context changes (e.g. a global constant edit) are caught by hole-signature
   validation and re-evaluated, never served stale from the cache.
 """
@@ -21,8 +22,8 @@ import pytest
 
 from repro import Compiler, Session
 from repro.api import get_language
-from repro.incremental import ArtifactCache, Document
-from repro.incremental.cache import RegionArtifact
+from repro.incremental import ArtifactCache, Document, fingerprint
+from repro.incremental.cache import REGION_NAMESPACE, RegionArtifact
 from repro.incremental.fingerprint import FingerprintMemo, region_keys
 from repro.incremental.frontend import (
     EditEnvelope,
@@ -36,6 +37,7 @@ from repro.pascal.compiler import _shared_parser
 from repro.pascal.grammar import pascal_grammar
 from repro.pascal.lexer import _LEXER
 from repro.pascal.programs import generate_program
+from repro.store import ArtifactStore
 from repro.tree.linearize import linearize
 
 
@@ -453,7 +455,8 @@ class TestDirtyRegionScheduling:
             warm = document.recompile()
         total = warm.incremental.regions_total
         assert total > 2
-        # The edited region plus its region-tree ancestors — never everything.
+        # The edited region (plus whatever its changed outputs reach) — never
+        # everything.
         assert 0 < warm.incremental.regions_evaluated < total
         assert warm.incremental.regions_reused == total - warm.incremental.regions_evaluated
         assert warm.incremental.dirty_regions  # labels, e.g. ["a"]
@@ -505,6 +508,153 @@ class TestDirtyRegionScheduling:
             result = second.recompile()
         # A fresh document over identical content hits the session's shared cache.
         assert result.incremental.regions_reused > 0
+
+
+# ---------------------------------------------------------------- early cutoff
+
+
+#: A program whose regions nest as a chain at ``machines=4`` (the routine list is
+#: left-recursive): the first routine sits in the innermost region, so an edit
+#: there used to dirty all four.
+CHAIN_MACHINES = 4
+
+
+@pytest.fixture(scope="module")
+def chain_source():
+    return generate_program(procedures=16, statements_per_procedure=4, seed=1)
+
+
+def _head_literal(text):
+    match = re.search(r":= (\d+);", text)
+    return match.start(1), match.end(1), "424242"
+
+
+def _head_insertion(text):
+    at = re.search(r":= (\d+);", text).end()
+    return at, at, "\n  writeln(1);"
+
+
+def _head_declaration(text):
+    """A new routine after the first one: the innermost region's ``defs`` change."""
+    at = text.index("\nend;\n") + len("\nend;\n")
+    return at, at, "\nprocedure extra0(q: integer);\nbegin\n  writeln(q)\nend;\n"
+
+
+class TestEarlyCutoff:
+    """A region whose live inputs match its cached signatures is replayed, even
+    when a region below it changed: outputs equal a cold compile, and the reuse
+    counts show the cutoff (equal outputs alone would not)."""
+
+    SUBSTRATES = ("simulated", "threads", pytest.param("processes", marks=requires_fork))
+
+    @staticmethod
+    def _edit_and_recompile(backend, source, edit):
+        start, end, text = edit(source)
+        edited = source[:start] + text + source[end:]
+        reference = Compiler("pascal", machines=CHAIN_MACHINES, backend=backend).compile(
+            edited
+        )
+        with Session(backend=backend, machines=CHAIN_MACHINES) as session:
+            document = session.open("pascal", source, machines=CHAIN_MACHINES)
+            cold = document.recompile()
+            document.edit(start, end, text)
+            warm = document.recompile()
+        assert cold.incremental.regions_total == 4
+        assert [
+            (region.region_id, region.parent_region)
+            for region in cold.report.decomposition.regions
+        ] == [(0, None), (1, 0), (2, 1), (3, 2)]
+        assert reference.ok
+        assert warm.value == reference.value
+        assert warm.errors == reference.errors
+        return warm.incremental
+
+    @pytest.mark.parametrize("backend", SUBSTRATES)
+    def test_head_literal_edit_evaluates_two_regions_in_one_round(
+        self, backend, chain_source
+    ):
+        incremental = self._edit_and_recompile(backend, chain_source, _head_literal)
+        # The innermost region and the always-evaluated root; the two regions in
+        # between see unchanged inputs (code crosses as a descriptor) and replay.
+        assert incremental.regions_evaluated == 2
+        assert incremental.regions_reused == 2
+        assert incremental.validation_rounds == 1
+
+    @pytest.mark.parametrize("backend", SUBSTRATES)
+    def test_head_insertion_equals_cold_compile(self, backend, chain_source):
+        incremental = self._edit_and_recompile(backend, chain_source, _head_insertion)
+        assert incremental.validation_rounds <= 2
+
+    @pytest.mark.parametrize("backend", SUBSTRATES)
+    def test_head_declaration_change_equals_cold_compile(self, backend, chain_source):
+        incremental = self._edit_and_recompile(backend, chain_source, _head_declaration)
+        # The new routine reaches the enclosing regions' symbol tables: their
+        # replays see a changed ``defs`` and the next round evaluates them.
+        assert incremental.validation_rounds <= 2
+        assert incremental.regions_evaluated == 4
+
+    def test_artifacts_from_different_builds_equal_a_cold_compile(self, chain_source):
+        """Every region hits the cache, but neighbouring artifacts come from builds
+        that disagreed about the boundary between them: the clean-clean check
+        dirties one side and the live check catches the rest."""
+        grammar = pascal_grammar()
+        language = get_language("pascal")
+        # ``func3`` is declared in the innermost region and called in region 2.
+        head = chain_source.index("function func3") + len("function ")
+        renamed = chain_source[:head] + "funcZ" + chain_source[head + len("func3") :]
+        literal = list(re.finditer(r":= (\d+);", chain_source))[30]
+        retuned = (
+            chain_source[: literal.start(1)]
+            + str(int(literal.group(1)) % 9 + 1)
+            + chain_source[literal.end(1) :]
+        )
+
+        def keys(text):
+            decomposition = plan_decomposition(language.parse(text), CHAIN_MACHINES)
+            return region_keys(grammar, decomposition, "engine")
+
+        base = keys(chain_source)
+        for text, region in ((renamed, 3), (retuned, 2)):
+            assert [r for r, key in keys(text).items() if key != base[r]] == [region]
+        reference = Compiler("pascal", machines=CHAIN_MACHINES).compile(chain_source)
+        with Session(backend="simulated", machines=CHAIN_MACHINES) as session:
+            for text in (renamed, retuned, chain_source):
+                document = session.open("pascal", text, machines=CHAIN_MACHINES)
+                result = document.recompile()
+        # Region 2's artifact is the renamed build's, regions 1 and 3 the retuned's.
+        assert result.incremental.content_misses == 0
+        assert result.value == reference.value
+        assert result.errors == reference.errors
+
+
+class TestOldStores:
+    def test_store_of_an_older_artifact_format_misses_cleanly(
+        self, tmp_path, monkeypatch, chain_source
+    ):
+        """Artifacts written by older code may not decode (their wire values had
+        another shape): the format tag in the engine digest keeps them unread."""
+        store = str(tmp_path / "store")
+
+        def build():
+            with Session(backend="simulated", machines=CHAIN_MACHINES, store=store) as session:
+                document = session.open("pascal", chain_source, machines=CHAIN_MACHINES)
+                return document.recompile(), session.artifact_cache.store_hits
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fingerprint, "ARTIFACT_FORMAT", fingerprint.ARTIFACT_FORMAT - 1)
+            build()
+        old_keys = set(ArtifactStore(store).keys(REGION_NAMESPACE))
+        assert len(old_keys) == 3  # every non-root region
+
+        result, store_hits = build()
+        reference = Compiler("pascal", machines=CHAIN_MACHINES).compile(chain_source)
+        assert store_hits == 0
+        assert result.incremental.content_misses == 3
+        assert result.incremental.regions_reused == 0
+        assert result.value == reference.value
+        assert result.errors == reference.errors
+        # Never read, so never decoded, quarantined or deleted.
+        assert old_keys < set(ArtifactStore(store).keys(REGION_NAMESPACE))
 
 
 # ------------------------------------------------------------------- documents

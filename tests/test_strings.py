@@ -166,21 +166,21 @@ class TestDescriptors:
 
     def test_leaf_descriptor_assembly(self):
         fragments, lookup = self._library()
-        descriptor = LeafDescriptor(1, 1, 6)
+        descriptor = LeafDescriptor(1, 1)
         assert descriptor.assemble(lookup).flatten() == "alpha "
         assert descriptor.fragment_ids() == [(1, 1)]
 
     def test_concat_descriptor_assembly_preserves_order(self):
         fragments, lookup = self._library()
         descriptor = ConcatDescriptor(
-            LeafDescriptor(1, 1, 6),
-            ConcatDescriptor(LiteralDescriptor(Rope.leaf("and ")), LeafDescriptor(2, 1, 5)),
+            LeafDescriptor(1, 1),
+            ConcatDescriptor(LiteralDescriptor(Rope.leaf("and ")), LeafDescriptor(2, 1)),
         )
         assert descriptor.assemble(lookup).flatten() == "alpha and beta "
         assert descriptor.fragment_ids() == [(1, 1), (2, 1)]
 
     def test_descriptor_sizes_are_small(self):
-        descriptor = ConcatDescriptor(LeafDescriptor(1, 1, 10_000), LeafDescriptor(2, 1, 20_000))
+        descriptor = ConcatDescriptor(LeafDescriptor(1, 1), LeafDescriptor(2, 1))
         assert descriptor.descriptor_size() < 100
 
 
@@ -191,20 +191,20 @@ class TestCodeValues:
         assert value.flatten() == "ab"
 
     def test_code_concat_with_descriptor(self):
-        descriptor = LeafDescriptor(3, 1, 4)
+        descriptor = LeafDescriptor(3, 1)
         value = code_concat("local ", descriptor)
         assert not isinstance(value, Rope)
         assert value.fragment_ids() == [(3, 1)]
 
     def test_code_join_and_flatten_with_lookup(self):
-        descriptor = LeafDescriptor(3, 1, 6)
+        descriptor = LeafDescriptor(3, 1)
         value = code_join(["head ", descriptor, " tail"])
         text = flatten_code(value, lambda r, f: Rope.leaf("REMOTE"))
         assert text == "head REMOTE tail"
 
     def test_code_size(self):
         assert code_size("abcd") == Rope.leaf("abcd").transmission_size()
-        assert code_size(LeafDescriptor(1, 1, 50)) == 12
+        assert code_size(LeafDescriptor(1, 1)) == 12
 
     def test_as_code_rejects_garbage(self):
         with pytest.raises(TypeError):
