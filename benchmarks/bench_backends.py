@@ -8,9 +8,9 @@ machine-readable JSON with::
     PYTHONPATH=src python -m pytest benchmarks/bench_backends.py \
         --benchmark-json=backends.json
 
-Expectations to sanity-check against, not golden numbers: the threads backend adds
-queue/thread overhead but no parallel speedup for pure-Python rule evaluation (the
-GIL), while the processes backend pays fork + pickle costs that only amortise on large
+Expectations to sanity-check against, not golden numbers: the threads backend runs
+every region on the calling thread (the simulator's kernel on a wall clock), so it adds
+a little scheduling overhead and no parallel speedup, while the processes backend pays fork + pickle costs that only amortise on large
 trees.  The point of the rows is to make those costs visible and machine-trackable.
 """
 

@@ -59,8 +59,10 @@ from repro.service import CompilationJob, CompilationService  # noqa: E402
 
 TIMEOUT = 20.0
 
-#: Seconds a starved receive waits before the typed timeout — the knob that
-#: dominates message-drop recovery latency, kept short so the benchmark is fast.
+#: Seconds a starved receive waits before the typed timeout on ``processes`` and
+#: ``sockets``, kept short so the benchmark is fast.  It does not decide message-drop
+#: latency on ``threads`` or ``simulated``: there the receiver parks and the kernel
+#: finds the deadlock as soon as its queue drains.
 DROP_RECEIVE_TIMEOUT = 1.0
 
 

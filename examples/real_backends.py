@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Run the parallel compiler on real OS threads, OS processes and a loopback cluster.
+"""Run the parallel compiler on the wall clock, on OS processes and on a loopback cluster.
 
 Every figure in the paper reproduction runs on the deterministic simulated cluster;
 this example runs the *same* distributed protocol — same parser, evaluators, string
 librarian, same messages — as a one-shot compile on each real substrate (a private
-pool or cluster, started for the compile and shut down after it) and checks that all
+substrate, pool or cluster, started for the compile and shut down after it) and checks that all
 of them agree byte-for-byte on the generated code, printing wall-clock timings for
 each.  Exits non-zero on any mismatch.
 

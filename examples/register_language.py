@@ -4,7 +4,7 @@
 The point of the :mod:`repro.api` registry is that a new workload needs *zero*
 changes to ``repro`` internals: define an attribute grammar and a tokenizer, wrap
 them in a :class:`~repro.GrammarLanguage`, register, and compile on any substrate —
-simulated cluster, OS threads or forked OS processes — through the same
+simulated cluster, the in-process wall-clock kernel or forked OS processes — through the same
 ``Compiler``/``Session`` front door the built-in ``pascal`` and ``exprlang``
 languages use.
 
@@ -109,10 +109,10 @@ def main() -> None:
     )
     assert result.value == expected, (result.value, expected)
 
-    # The same language on a persistent threads pool via the Session front door.
+    # The same language on a long-lived threads substrate via the Session front door.
     with Session(backend="threads", machines=4) as session:
         pooled = session.compile("sumlang", source)
-        print(f"threads pool: total={pooled.value} — {pooled.summary()}")
+        print(f"threads session: total={pooled.value} — {pooled.summary()}")
         assert pooled.value == expected
 
     print("sumlang compiled identically on both substrates, no repro internals touched")

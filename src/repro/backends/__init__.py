@@ -4,7 +4,8 @@ Four implementations of the same :class:`~repro.backends.base.Backend` interface
 
 * ``"simulated"`` — the paper's modelled network multiprocessor (deterministic
   discrete-event simulation, simulated seconds);
-* ``"threads"`` — OS threads with ``queue.Queue`` mailboxes;
+* ``"threads"`` — the simulator's kernel on a wall clock: a session's bodies run
+  cooperatively on the calling thread, with ``Store`` mailboxes;
 * ``"processes"`` — forked OS processes with picklable protocol messages over
   pipes (coordinator mailboxes stay in-process queues);
 * ``"sockets"`` — separate worker host processes over TCP (loopback by default,
@@ -82,9 +83,10 @@ def create_substrate(
 ) -> Substrate:
     """Instantiate the persistent (pooled) substrate called ``name``.
 
-    ``workers`` is the initial pool size for the real substrates (both grow on demand
-    so a compilation's whole worker batch always runs concurrently); the simulated
-    substrate pools nothing and simply hands out fresh deterministic clusters.
+    ``workers`` is the initial pool size for the ``processes`` and ``sockets``
+    substrates (both grow on demand so a compilation's whole worker batch always runs
+    concurrently); ``simulated`` and ``threads`` pool nothing and hand out a fresh
+    kernel per session.
     Remember to ``start()`` it (or use a ``with`` block) and ``shutdown()`` when done.
     """
     if name == "simulated":
@@ -92,7 +94,7 @@ def create_substrate(
             network=network, cost_model=cost_model, machine_speeds=machine_speeds
         )
     if name == "threads":
-        return ThreadsSubstrate(workers=workers, receive_timeout=receive_timeout)
+        return ThreadsSubstrate(receive_timeout=receive_timeout)
     if name == "processes":
         return ProcessesSubstrate(workers=workers, receive_timeout=receive_timeout)
     if name == "sockets":

@@ -8,10 +8,12 @@ directly.  A backend decides what those requests mean:
 * the **simulated** backend translates them into discrete-event simulator operations
   (CPU occupancy on a modelled machine, blocking mailbox reads) and charges modelled
   time — this is the paper-faithful substrate every figure is measured on;
-* the **threads** and **processes** backends execute the very same generators on real
-  OS threads / OS processes: the real CPU work happens inline between yields, so a
-  :class:`Compute` request resumes immediately (its modelled cost is ignored) and a
-  :class:`Receive` is a genuine blocking read from the mailbox's queue or pipe.
+* the **threads**, **processes** and **sockets** backends execute the very same
+  generators on real wall-clock time: the real CPU work happens inline between
+  yields, so a :class:`Compute` request resumes immediately (its modelled cost is
+  ignored).  On ``threads`` a :class:`Receive` parks the body in the simulator's
+  kernel, run cooperatively on the calling thread; on ``processes`` and ``sockets``
+  it is a genuine blocking read from the mailbox's queue or pipe.
 
 Because the process bodies never import a substrate directly, the coordinator,
 evaluator and librarian logic exists exactly once and every backend runs the identical
@@ -21,8 +23,9 @@ The contract is split in two layers:
 
 * a :class:`Substrate` is the **persistent** half: a worker pool and its channels,
   created once (explicit :meth:`~Substrate.start` / :meth:`~Substrate.shutdown`, or a
-  ``with`` block) and reused across many compilations — long-lived OS threads or forked
-  worker processes pull work from a job channel instead of dying after one run;
+  ``with`` block) and reused across many compilations — forked worker processes or
+  worker hosts pull work from a job channel instead of dying after one run (the
+  in-process ``simulated`` and ``threads`` substrates pool nothing);
 * a :class:`Backend` is the **per-compilation run session**: mailboxes, spawned bodies,
   one :meth:`~Backend.run` barrier, reports and telemetry, all scoped to a single job.
   Sessions are created with :meth:`Substrate.session` and torn down with

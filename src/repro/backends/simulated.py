@@ -28,17 +28,27 @@ from repro.runtime.cluster import Cluster
 from repro.runtime.cost import CostModel
 from repro.runtime.machine import Machine
 from repro.runtime.network import NetworkParameters
-from repro.runtime.simulator import Store
+from repro.runtime.simulator import Environment, Store
 
 
 class SimulatedMailbox(Mailbox):
-    """A mailbox backed by a simulator :class:`Store`."""
+    """A mailbox backed by a simulator :class:`Store` (the simulated and threads kernels)."""
 
     __slots__ = ("store",)
 
     def __init__(self, name: str, store: Store):
         super().__init__(name)
         self.store = store
+
+
+def raise_if_deadlocked(environment: Environment) -> None:
+    """Fail typed when the kernel's queue drained with bodies still parked."""
+    unfinished = environment.unfinished_processes()
+    if unfinished:
+        raise BackendError(
+            "parallel compilation deadlocked; unfinished processes: "
+            + ", ".join(process.name for process in unfinished)
+        )
 
 
 class SimulatedSession(Backend):
@@ -97,12 +107,7 @@ class SimulatedSession(Backend):
     def _run(self) -> float:
         started = time.perf_counter()
         self.cluster.run()
-        unfinished = self.cluster.environment.unfinished_processes()
-        if unfinished:
-            raise BackendError(
-                "parallel compilation deadlocked; unfinished processes: "
-                + ", ".join(process.name for process in unfinished)
-            )
+        raise_if_deadlocked(self.cluster.environment)
         return time.perf_counter() - started
 
     @property

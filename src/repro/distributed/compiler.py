@@ -14,7 +14,8 @@ substrates selected by the ``backend`` knob:
   :class:`CompilationReport` carries simulated times, per-machine activity timelines,
   message statistics and evaluator statistics — the raw material for every figure in
   the paper's evaluation section;
-* ``"threads"`` — one OS thread per evaluator region (``queue.Queue`` mailboxes);
+* ``"threads"`` — every region a process of the simulator's kernel, run on the
+  calling thread against the wall clock;
 * ``"processes"`` — one forked OS process per evaluator region (pickled protocol
   messages over pipes);
 * ``"sockets"`` — evaluator jobs on separate worker processes reached over TCP

@@ -51,11 +51,12 @@ class UniqueIdGenerator:
 class _GeneratorStack(threading.local):
     """Per-thread generator stack.
 
-    The threads backend runs one evaluator per OS thread, each activating its own
-    region-base generator around every scheduler task; a process-global stack would let
-    concurrent evaluators pop each other's generators and draw ids from the wrong
-    range.  Thread-local state keeps each evaluator's ids deterministic regardless of
-    substrate (the simulator and the processes backend each see a single stack anyway).
+    Each evaluator activates its own region-base generator around every scheduler task,
+    and no task spans a yield, so evaluators that share a thread (every in-process
+    substrate runs a session's bodies on one) never see each other's entries.  The
+    stack is thread-local because the service and the server run different sessions
+    concurrently on their own dispatch threads: a process-global stack would let those
+    sessions pop each other's generators and draw ids from the wrong range.
     """
 
     def __init__(self):

@@ -499,7 +499,7 @@ class TestBackendRobustness:
                 session.close()
 
     def test_blocked_receive_wakes_promptly_on_failure(self):
-        """A sleeping receiver is woken by the failure token, not by its timeout."""
+        """A parked receiver does not hold a failing run until its bound."""
         import time as time_module
 
         backend = create_backend("threads", machines=1, receive_timeout=30)
@@ -517,7 +517,7 @@ class TestBackendRobustness:
         started = time_module.monotonic()
         with pytest.raises(BackendError):
             backend.run()
-        # Well under the 30s receive timeout: the wake token did its job.
+        # Well under the 30s receive bound.
         assert time_module.monotonic() - started < 5
 
     def test_threads_backend_surfaces_worker_failure(self):
@@ -532,15 +532,64 @@ class TestBackendRobustness:
             backend.run()
 
     def test_threads_backend_receive_times_out(self):
+        """The bound is the session's wall clock, checked as a body resumes at a Receive."""
         backend = create_backend("threads", machines=1, receive_timeout=0.2)
+        mailbox = backend.mailbox("late")
+
+        def waiting_body():
+            yield Receive(mailbox)
+
+        def slow_sender():
+            time.sleep(0.3)  # real work, inline: no other body runs meanwhile
+            yield Compute(0.0)
+            backend.send(0, 0, "late", 1, mailbox=mailbox)
+
+        backend.spawn(waiting_body(), name="waiter")
+        backend.spawn(slow_sender(), name="sender")
+        with pytest.raises(BackendError, match="waiter.*timed out"):
+            backend.run()
+
+    def test_threads_deadlock_is_found_not_timed_out(self):
+        backend = create_backend("threads", machines=1, receive_timeout=60)
         mailbox = backend.mailbox("never-written")
 
         def waiting_body():
             yield Receive(mailbox)
 
-        backend.spawn(waiting_body(), name="waiter")
-        with pytest.raises(BackendError, match="waiter"):
+        backend.spawn(waiting_body(), name="lonely-reader")
+        started = time.monotonic()
+        with pytest.raises(BackendError, match="deadlocked.*lonely-reader"):
             backend.run()
+        assert time.monotonic() - started < 0.5
+
+    def test_threads_compile_starts_no_thread(self, split_grammar, big_expression, monkeypatch):
+        """Every body runs on the thread that called run(); none is started."""
+        before = threading.active_count()
+        caller = threading.get_ident()
+        seen = []
+        backend = create_backend("threads", machines=1)
+        box = backend.mailbox("ping")
+
+        def probe(reader):
+            seen.append((threading.get_ident(), threading.active_count()))
+            if reader:
+                yield Receive(box)
+            else:
+                yield Compute(0.0)
+                backend.send(0, 0, "ping", 1, mailbox=box)
+            seen.append((threading.get_ident(), threading.active_count()))
+
+        backend.spawn(probe(True), name="reader")
+        backend.spawn(probe(False), name="writer", coordinator=True)
+        backend.run()
+        assert len(seen) == 4 and all(sample == (caller, before) for sample in seen)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        report = ParallelCompiler(split_grammar).compile_tree(
+            big_expression, 3, backend="threads"
+        )
+        assert report.worker_count == report.decomposition.region_count > 1
+        assert started == [] and threading.active_count() == before
 
 
 def _child_pids():

@@ -23,7 +23,7 @@ from repro.backends import (
     ThreadsSubstrate,
     create_substrate,
 )
-from repro.backends.base import Receive, WorkerJob
+from repro.backends.base import Compute, Receive, WorkerJob
 from repro.distributed.compiler import ParallelCompiler
 from repro.exprlang import (
     evaluate_expression,
@@ -111,7 +111,7 @@ class TestPoolReuse:
         assert second.root_attributes["value"] == expected
         assert pool.sessions_opened == 2
 
-    @pytest.mark.parametrize("name", REAL_SUBSTRATES)
+    @pytest.mark.parametrize("name", [pytest.param("processes", marks=requires_fork)])
     def test_pool_workers_survive_across_compilations(
         self, name, expr_compiler, big_tree
     ):
@@ -498,30 +498,36 @@ class TestFailureTeardown:
         pool = ThreadsSubstrate(receive_timeout=TIMEOUT)
         pool.start()
         session = pool.session(1)
-        mailbox = session.mailbox("never-written")
+        running = threading.Event()
 
-        def waiting_body():
-            yield Receive(mailbox)
+        def computing_body():
+            # Keeps computing until the kernel sees the abort before a resume.
+            while True:
+                running.set()
+                time.sleep(0.01)
+                yield Compute(0.0)
 
-        session.spawn(waiting_body(), name="blocked")
+        session.spawn(computing_body(), name="busy")
         outcome = {}
 
         def run_it():
             try:
                 session.run()
                 outcome["result"] = "success"
-            except BackendError:
-                outcome["result"] = "error"
+            except BackendError as error:
+                outcome["result"] = str(error)
 
         runner = threading.Thread(target=run_it)
         runner.start()
-        time.sleep(0.2)
+        assert running.wait(timeout=10.0)
+        stopped = time.monotonic()
         pool.shutdown()
         runner.join(timeout=10.0)
         # run() must come back promptly with an error — never hang, never report
         # an interrupted compilation as a success.
         assert not runner.is_alive()
-        assert outcome["result"] == "error"
+        assert time.monotonic() - stopped < 1.0
+        assert "busy" in outcome["result"] and "shut down" in outcome["result"]
         session.close()
 
     def test_failing_service_job_spares_siblings(self, split_grammar, expr_compiler):
