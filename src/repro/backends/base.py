@@ -174,11 +174,6 @@ class Backend(abc.ABC):
     #: Short name used by the ``backend=`` knob of the parallel compiler.
     name: str = "abstract"
 
-    #: True when protocol messages cross a serialisation boundary (another OS
-    #: process or another host), so regions should ship in the packed
-    #: array-of-ints codec instead of the readable linearized records.
-    packed_wire: bool = False
-
     def __init__(self) -> None:
         self._reports: Dict[int, Any] = {}
         self._worker_count = 0

@@ -972,7 +972,6 @@ class ProcessesSession(Backend):
     """One compilation run on a :class:`ProcessesSubstrate` pool."""
 
     name = "processes"
-    packed_wire = True
 
     def __init__(self, substrate: ProcessesSubstrate, session_id: int, receive_timeout: float):
         super().__init__()

@@ -315,7 +315,6 @@ class SocketsSession(Backend):
     """One compilation run on a :class:`SocketsSubstrate` cluster."""
 
     name = "sockets"
-    packed_wire = True
 
     def __init__(self, substrate: SocketsSubstrate, session_id: int, receive_timeout: float):
         super().__init__()

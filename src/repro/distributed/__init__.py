@@ -4,7 +4,7 @@ This package ties together the partitioning layer, the sequential evaluator sche
 and the simulated cluster into the parallel compiler of the paper:
 
 * a sequential **parser/coordinator** process that decomposes the parse tree and ships
-  linearized subtrees to the evaluator machines;
+  packed subtrees to the evaluator machines;
 * one **evaluator process** per region, running either the purely dynamic or the
   combined scheduler, exchanging region-boundary attribute values as messages;
 * a **string librarian** process that receives each evaluator's code fragment once and

@@ -65,7 +65,7 @@ from repro.runtime.cost import CostModel
 from repro.runtime.machine import ActivityInterval, ActivityKind
 from repro.runtime.network import NetworkParameters
 from repro.strings.rope import Rope
-from repro.tree.linearize import linearize, pack
+from repro.tree.linearize import pack
 from repro.tree.node import ParseTreeNode
 
 
@@ -591,27 +591,18 @@ class ParallelCompiler:
     ) -> Generator:
         config = self.configuration
         reuse_ids = reuse_ids or set()
-        # Regions cross a pickling boundary on the processes and sockets substrates
-        # (another OS process, or another host entirely), so they ship in the packed
-        # array-of-ints codec there; everywhere else the readable linearized records
-        # are used (the simulated substrate must stay byte-identical, and in-process
-        # transports never serialise).
-        use_packed = getattr(substrate, "packed_wire", False)
-
-        def encode_region(root: ParseTreeNode, holes: Dict[int, int]) -> Any:
-            if use_packed:
-                return pack(self.grammar, root, holes)
-            return linearize(root, holes)
-
         ship_started = time.perf_counter()
-        # Ship remote regions first (they must cross the network), then hand the root
-        # region to the co-located evaluator.  Replayed regions are not shipped at
-        # all — that is the "ship only dirty regions" half of incremental compiles.
+        # Every region ships packed (``repro.tree.linearize``'s array-of-ints codec) on
+        # every substrate, and the evaluator rebuilds it with the iterative ``unpack``,
+        # however deep it is.  Ship remote regions first (they must cross the network),
+        # then hand the root region to the co-located evaluator.  Replayed regions are
+        # not shipped at all — that is the "ship only dirty regions" half of
+        # incremental compiles.
         for region in decomposition.regions[1:]:
             if region.region_id in reuse_ids:
                 continue
             holes = decomposition.holes_of(region.region_id)
-            encoded: Any = encode_region(region.root, holes)
+            encoded = pack(self.grammar, region.root, holes)
             cost = (
                 config.cost_model.linearize_cost(encoded.size_bytes())
                 + config.cost_model.message_cpu_cost
@@ -633,12 +624,10 @@ class ParallelCompiler:
             )
 
         root_region = decomposition.regions[0]
-        root_holes = decomposition.holes_of(0)
-        root_encoded: Any = encode_region(root_region.root, root_holes)
         root_message = SubtreeMessage(
             region_id=0,
             parent_region=None,
-            tree=root_encoded,
+            tree=pack(self.grammar, root_region.root, decomposition.holes_of(0)),
             unique_base=base_for_region(0),
             root_inherited=dict(root_inherited),
             label=root_region.label,

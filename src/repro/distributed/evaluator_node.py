@@ -43,7 +43,7 @@ from repro.strings.descriptors import (
     StringDescriptor,
 )
 from repro.strings.rope import Rope
-from repro.tree.linearize import rebuild
+from repro.tree.linearize import unpack
 from repro.tree.node import ParseTreeNode
 
 
@@ -212,7 +212,7 @@ class EvaluatorNode:
         unpack_cost = self.cost_model.delinearize_cost(message.tree.size_bytes())
         if message.parent_region is not None:
             yield Compute(unpack_cost, ActivityKind.UNPACK, "delinearize")
-        root, holes = rebuild(self.grammar, message.tree)
+        root, holes = unpack(self.grammar, message.tree)
         self._root = root
         self._holes = holes
         self._hole_regions = {node.node_id: region for region, node in holes.items()}

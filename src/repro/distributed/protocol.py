@@ -7,7 +7,7 @@ same root.  Messages therefore address attributes by ``(region_id, attribute nam
 rather than by node identity, which keeps the protocol independent of how each evaluator
 numbers its local nodes.
 
-Every message type (and everything it carries: linearized trees, ropes, string
+Every message type (and everything it carries: packed trees, ropes, string
 descriptors, converted attribute values) must survive a pickle round-trip, because the
 ``"processes"`` backend ships messages between OS processes as pickled frames on
 pipes.  :data:`PROTOCOL_MESSAGES` enumerates the full wire
@@ -19,19 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro.tree.linearize import PackedTree
+
 
 @dataclass
 class SubtreeMessage:
-    """Parser → evaluator: here is your region.
-
-    ``tree`` is either a :class:`~repro.tree.linearize.LinearizedTree` (simulated and
-    in-process substrates) or a :class:`~repro.tree.linearize.PackedTree` (the
-    processes substrate, where the subtree crosses a pickling boundary).
-    """
+    """Parser → evaluator: here is your region, packed on every substrate."""
 
     region_id: int
     parent_region: Optional[int]
-    tree: Any                               # LinearizedTree or PackedTree
+    tree: PackedTree
     unique_base: int
     root_inherited: Dict[str, Any] = field(default_factory=dict)
     label: str = ""

@@ -63,7 +63,7 @@ class DynamicScheduler(Scheduler):
 
     :param grammar: the attribute grammar.
     :param root: root of the locally owned (sub)tree.  Hole nodes (children standing in
-        for remotely evaluated subtrees, created by :func:`repro.tree.linearize.delinearize`)
+        for remotely evaluated subtrees, created by :func:`repro.tree.linearize.unpack`)
         are recognised by having neither a production nor a token value while carrying a
         nonterminal symbol: their synthesized attributes are treated as external inputs
         and their inherited attributes as ordinary locally computed values (the

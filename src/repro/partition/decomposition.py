@@ -54,7 +54,7 @@ class DecompositionPlan:
         return {region.region_id: region.root for region in self.regions}
 
     def holes_of(self, region_id: int) -> Dict[int, int]:
-        """Map from detached child-root node ids to their region ids (for linearize)."""
+        """Map from detached child-root node ids to their region ids (for ``pack``)."""
         region = self.regions[region_id]
         return {
             self.regions[child].root.node_id: child for child in region.child_regions

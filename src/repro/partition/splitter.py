@@ -28,7 +28,7 @@ def splittable_nodes(
         if not symbol.splittable:
             continue
         threshold = min_size if min_size is not None else symbol.min_split_size * scale
-        if node.linearized_size() >= threshold:
+        if node.wire_size >= threshold:
             candidates.append(node)
     return candidates
 

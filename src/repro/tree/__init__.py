@@ -1,19 +1,7 @@
 """Parse trees and attribute instance storage."""
 
 from repro.tree.node import ParseTreeNode, AttributeInstance, make_terminal, make_node
-from repro.tree.linearize import (
-    GrammarCodec,
-    LinearizedTree,
-    PackedTree,
-    codec_for,
-    delinearize,
-    linearize,
-    pack,
-    pack_linearized,
-    rebuild,
-    unpack,
-    unpack_linearized,
-)
+from repro.tree.linearize import GrammarCodec, PackedTree, codec_for, pack, unpack
 from repro.tree.stats import TreeStatistics, tree_statistics
 
 __all__ = [
@@ -21,17 +9,11 @@ __all__ = [
     "AttributeInstance",
     "make_terminal",
     "make_node",
-    "linearize",
-    "delinearize",
-    "LinearizedTree",
     "GrammarCodec",
     "PackedTree",
     "codec_for",
     "pack",
-    "pack_linearized",
-    "rebuild",
     "unpack",
-    "unpack_linearized",
     "TreeStatistics",
     "tree_statistics",
 ]

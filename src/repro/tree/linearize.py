@@ -1,140 +1,33 @@
 """Linearization of parse (sub)trees for network transmission.
 
 The paper's parser ships each detached subtree to its evaluator machine in a linearized
-form; the evaluator reconstructs the subtree before evaluation.  We mirror that with a
-compact pre-order list-of-records representation whose abstract size is what the network
-model charges for the transfer.
+form; the evaluator reconstructs the subtree before evaluation.  Every substrate ships
+the same form, a :class:`PackedTree`: one pre-order record per node, packed into an
+array of ints, whose abstract size is what the network model charges for the transfer.
 
 A linearized subtree may contain *holes*: positions at which a nested subtree was itself
 detached and shipped to a different evaluator.  Holes are recorded with the nonterminal
-name and the identifier of the remote region so that the receiving evaluator can set up
+and the identifier of the remote region so that the receiving evaluator can set up
 remote-attribute placeholders.
 
-Two wire representations share the same pre-order record model:
-
-* :class:`LinearizedTree` — readable list-of-tuples records (tag strings, symbol
-  names).  The simulated substrate uses it exclusively, keeping every figure
-  reproduction byte-identical.
-* :class:`PackedTree` — the compact array-of-ints codec used by the real substrates.
-  Symbols and productions are interned against per-grammar tables
-  (:class:`GrammarCodec`, built once per grammar per process and cached), so a whole
-  subtree crosses a process boundary as one machine-typed int array plus a flat list
-  of token values — no per-record tuples or symbol-name strings to pickle.  The
-  symbol tables themselves never cross: both ends derive them deterministically from
-  the grammar they already share (shipped once per worker via the job bundle).
+Symbols and productions are interned against per-grammar tables (:class:`GrammarCodec`,
+built once per grammar per process and cached), so a whole subtree crosses a process
+boundary as one machine-typed int array plus a flat list of token values — no
+per-record tuples or symbol-name strings to pickle.  The symbol tables themselves never
+cross: both ends derive them deterministically from the grammar they already share
+(shipped once per worker via the job bundle).  :func:`unpack` rebuilds a subtree
+iteratively, so region depth is bounded by memory, not by the interpreter's recursion
+limit.
 """
 
 from __future__ import annotations
 
 import weakref
 from array import array
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.grammar.grammar import AttributeGrammar
 from repro.tree.node import ParseTreeNode, make_node, make_terminal
-
-
-class LinearizedTree:
-    """Flat representation of a subtree.
-
-    ``records`` is a pre-order list of tuples:
-
-    * ``("T", terminal_name, token_value)`` for terminal leaves,
-    * ``("P", production_index)`` for nonterminal nodes (children follow in order),
-    * ``("H", nonterminal_name, region_id, original_node_id)`` for holes standing in for
-      subtrees evaluated remotely.
-    """
-
-    __slots__ = ("records", "root_symbol")
-
-    def __init__(self, records: List[Tuple], root_symbol: str):
-        self.records = records
-        self.root_symbol = root_symbol
-
-    def size_bytes(self) -> int:
-        """Abstract transmission size of the linearized form."""
-        total = 0
-        for record in self.records:
-            if record[0] == "T":
-                value = record[2]
-                total += 4 + (len(value) if isinstance(value, str) else 4)
-            elif record[0] == "P":
-                total += 8
-            else:
-                total += 16
-        return total
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-def linearize(
-    root: ParseTreeNode,
-    holes: Optional[Dict[int, int]] = None,
-) -> LinearizedTree:
-    """Linearize the subtree rooted at ``root``.
-
-    :param holes: maps ``node_id`` of detached child subtrees to the region id they were
-        assigned to.  Those subtrees are replaced by hole records and not descended into.
-    """
-    holes = holes or {}
-    records: List[Tuple] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.node_id in holes and node is not root:
-            records.append(("H", node.symbol.name, holes[node.node_id], node.node_id))
-            continue
-        if node.is_terminal:
-            records.append(("T", node.symbol.name, node.token_value))
-        else:
-            assert node.production is not None
-            records.append(("P", node.production.index))
-            stack.extend(reversed(node.children))
-    return LinearizedTree(records, root.symbol.name)
-
-
-def delinearize(
-    grammar: AttributeGrammar, linearized: LinearizedTree
-) -> Tuple[ParseTreeNode, Dict[int, ParseTreeNode]]:
-    """Rebuild a subtree from its linearized form.
-
-    Returns the new root node and a mapping from region id to the hole placeholder nodes
-    created for remotely evaluated subtrees.  Hole nodes carry the nonterminal symbol but
-    no production or children; their synthesized attributes are later supplied from the
-    network and their inherited attributes must be exported to the owning evaluator.
-    """
-    position = 0
-    holes: Dict[int, ParseTreeNode] = {}
-
-    def build() -> ParseTreeNode:
-        nonlocal position
-        if position >= len(linearized.records):
-            raise ValueError("truncated linearized tree")
-        record = linearized.records[position]
-        position += 1
-        tag = record[0]
-        if tag == "T":
-            terminal = grammar.terminals[record[1]]
-            return make_terminal(terminal, record[2])
-        if tag == "H":
-            nonterminal = grammar.nonterminals[record[1]]
-            node = ParseTreeNode(nonterminal)
-            holes[record[2]] = node
-            return node
-        if tag == "P":
-            production = grammar.productions[record[1]]
-            children = [build() for _ in production.rhs]
-            return make_node(production, children)
-        raise ValueError(f"unknown linearized record tag {tag!r}")
-
-    root = build()
-    if position != len(linearized.records):
-        raise ValueError("trailing records after linearized tree")
-    return root, holes
-
-
-# ------------------------------------------------------------------ packed codec
 
 #: Record tags in the low two bits of a packed code word.
 _TAG_PRODUCTION = 0
@@ -197,9 +90,8 @@ class PackedTree:
     nodes, a terminal-table index for leaves, a nonterminal-table index for holes.
     ``values`` carries the token values of terminal records in order; ``hole_meta``
     carries ``(region_id, original_node_id)`` pairs of hole records in order.
-    ``size_bytes`` is precomputed at pack time with exactly the same accounting as
-    :meth:`LinearizedTree.size_bytes`, so the network cost model charges identically
-    for either representation.
+    ``size_bytes`` is precomputed at pack time: 8 bytes per nonterminal record, 16 per
+    hole, and 4 plus the token's length (4 for a non-string token) per terminal.
     """
 
     __slots__ = ("codes", "values", "hole_meta", "root_symbol", "_size_bytes")
@@ -219,7 +111,7 @@ class PackedTree:
         self._size_bytes = size_bytes
 
     def size_bytes(self) -> int:
-        """Abstract transmission size (identical to the linearized form's)."""
+        """Abstract transmission size, charged by the network model."""
         return self._size_bytes
 
     def __len__(self) -> int:
@@ -239,8 +131,8 @@ def pack(
 ) -> PackedTree:
     """Pack the subtree rooted at ``root`` into the array-of-ints codec.
 
-    Same traversal and ``holes`` contract as :func:`linearize`; the two forms encode
-    identical record sequences and rebuild identical trees.
+    :param holes: maps ``node_id`` of detached child subtrees to the region id they were
+        assigned to.  Those subtrees are replaced by hole records and not descended into.
     """
     codec = codec_for(grammar)
     terminal_index = codec.terminal_index
@@ -276,8 +168,10 @@ def unpack(
 ) -> Tuple[ParseTreeNode, Dict[int, ParseTreeNode]]:
     """Rebuild a subtree from its packed form (iterative, deep-tree safe).
 
-    Returns the new root and the region-id → hole-placeholder mapping, exactly like
-    :func:`delinearize`.
+    Returns the new root node and a mapping from region id to the hole placeholder nodes
+    created for remotely evaluated subtrees.  Hole nodes carry the nonterminal symbol but
+    no production or children; their synthesized attributes are later supplied from the
+    network and their inherited attributes must be exported to the owning evaluator.
     """
     codec = codec_for(grammar)
     productions = grammar.productions
@@ -352,65 +246,3 @@ def unpack(
     if value_position != len(values):
         raise ValueError("trailing token values after packed tree")
     return root, holes
-
-
-def pack_linearized(grammar: AttributeGrammar, linearized: LinearizedTree) -> PackedTree:
-    """Convert the readable record form into the packed codec (for parity checks)."""
-    codec = codec_for(grammar)
-    codes = array("i")
-    values: List[Any] = []
-    hole_meta = array("q")
-    for record in linearized.records:
-        tag = record[0]
-        if tag == "T":
-            codes.append((codec.terminal_index[record[1]] << 2) | _TAG_TERMINAL)
-            values.append(record[2])
-        elif tag == "P":
-            codes.append((record[1] << 2) | _TAG_PRODUCTION)
-        elif tag == "H":
-            codes.append((codec.nonterminal_index[record[1]] << 2) | _TAG_HOLE)
-            hole_meta.append(record[2])
-            hole_meta.append(record[3])
-        else:
-            raise ValueError(f"unknown linearized record tag {tag!r}")
-    return PackedTree(
-        codes, values, hole_meta, linearized.root_symbol, linearized.size_bytes()
-    )
-
-
-def unpack_linearized(grammar: AttributeGrammar, packed: PackedTree) -> LinearizedTree:
-    """Convert a packed tree back into the readable record form (for parity checks)."""
-    codec = codec_for(grammar)
-    records: List[Tuple] = []
-    value_position = 0
-    hole_position = 0
-    for code in packed.codes:
-        tag = code & 3
-        index = code >> 2
-        if tag == _TAG_TERMINAL:
-            records.append(("T", codec.terminal_list[index].name, packed.values[value_position]))
-            value_position += 1
-        elif tag == _TAG_PRODUCTION:
-            records.append(("P", index))
-        elif tag == _TAG_HOLE:
-            records.append(
-                (
-                    "H",
-                    codec.nonterminal_list[index].name,
-                    packed.hole_meta[hole_position],
-                    packed.hole_meta[hole_position + 1],
-                )
-            )
-            hole_position += 2
-        else:
-            raise ValueError(f"unknown packed record tag {tag!r}")
-    return LinearizedTree(records, packed.root_symbol)
-
-
-def rebuild(
-    grammar: AttributeGrammar, tree: Union[PackedTree, LinearizedTree]
-) -> Tuple[ParseTreeNode, Dict[int, ParseTreeNode]]:
-    """Rebuild a subtree from either wire representation."""
-    if isinstance(tree, PackedTree):
-        return unpack(grammar, tree)
-    return delinearize(grammar, tree)

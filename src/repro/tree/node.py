@@ -222,14 +222,6 @@ class ParseTreeNode:
         """Number of nodes in the subtree rooted here (summed at construction)."""
         return self.node_count
 
-    def linearized_size(self) -> int:
-        """Abstract size in bytes of the linearized subtree, used by the split policy.
-
-        Terminals are charged for their token text, nonterminal nodes for a small fixed
-        header, roughly mirroring a compact network representation of the tree.
-        """
-        return self.wire_size
-
     def pretty(self, indent: int = 0, max_depth: Optional[int] = None) -> str:
         """Readable multi-line rendering used by examples and error messages."""
         pad = "  " * indent

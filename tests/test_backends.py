@@ -29,7 +29,7 @@ from repro.exprlang.frontend import parse_expression
 from repro.exprlang.grammar import expression_grammar
 from repro.strings.descriptors import ConcatDescriptor, LeafDescriptor, LiteralDescriptor
 from repro.strings.rope import Rope
-from repro.tree.linearize import linearize
+from repro.tree.linearize import pack
 
 
 def _fork_available() -> bool:
@@ -281,7 +281,7 @@ def _sample_messages():
     """One instance of every protocol message, with realistic payloads."""
     grammar = expression_grammar()
     tree = parse_expression("1 + 2 * 3", grammar)
-    linearized = linearize(tree)
+    packed = pack(grammar, tree)
     descriptor = ConcatDescriptor(
         LeafDescriptor(1, 1),
         ConcatDescriptor(LiteralDescriptor(Rope.leaf("mid")), LeafDescriptor(2, 1)),
@@ -290,7 +290,7 @@ def _sample_messages():
         SubtreeMessage(
             region_id=1,
             parent_region=0,
-            tree=linearized,
+            tree=packed,
             unique_base=10_000_000,
             root_inherited={"env": ()},
             label="S",
@@ -340,7 +340,8 @@ class TestProtocolPickling:
             assert type(clone) is type(message)
             assert clone.size_bytes() == message.size_bytes()
             if isinstance(clone, SubtreeMessage):
-                assert clone.tree.records == message.tree.records
+                assert clone.tree.codes == message.tree.codes
+                assert clone.tree.values == message.tree.values
             if isinstance(clone, AssembledCodeMessage):
                 assert clone.text.flatten() == message.text.flatten()
             if isinstance(clone, CodeFragmentMessage):

@@ -38,7 +38,7 @@ from repro.pascal.grammar import pascal_grammar
 from repro.pascal.lexer import _LEXER
 from repro.pascal.programs import generate_program
 from repro.store import ArtifactStore
-from repro.tree.linearize import linearize
+from repro.tree.linearize import pack
 
 
 def _fork_available() -> bool:
@@ -173,7 +173,8 @@ class TestIncrementalReparse:
         )
         assert mode == "splice"
         reference = parser.parse(_LEXER.tokenize(new_text))
-        assert linearize(new_tree).records == linearize(reference).records
+        spliced, parsed = pack(grammar, new_tree), pack(grammar, reference)
+        assert (spliced.codes, spliced.values) == (parsed.codes, parsed.values)
         # The spliced tree reuses untouched nodes by reference.
         shared = sum(1 for node in new_tree.walk() if id(node) in before)
         assert shared > new_tree.subtree_size() // 2

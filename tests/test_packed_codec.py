@@ -1,4 +1,4 @@
-"""Round-trip parity of the packed array-of-ints tree codec with the record form."""
+"""Round trips of the packed array-of-ints tree codec, the one region wire format."""
 
 from __future__ import annotations
 
@@ -21,17 +21,7 @@ from repro.pascal.programs import (
     SUMMATION,
     generate_program,
 )
-from repro.tree.linearize import (
-    PackedTree,
-    codec_for,
-    delinearize,
-    linearize,
-    pack,
-    pack_linearized,
-    rebuild,
-    unpack,
-    unpack_linearized,
-)
+from repro.tree.linearize import PackedTree, codec_for, pack, unpack
 
 PASCAL_EXAMPLES = {
     "hello": HELLO,
@@ -48,54 +38,44 @@ def pascal():
     return PascalCompiler()
 
 
-def _strip_node_ids(records):
-    """Hole records carry the sender's node ids, which fresh trees cannot reproduce."""
-    return [
-        (record[0], record[1], record[2]) if record[0] == "H" else record
-        for record in records
-    ]
+def _wire(packed):
+    """A packed tree's records, with the sender's node ids dropped from its holes.
 
-
-def _relinearize(grammar, root, holes_by_region):
-    """Linearize a rebuilt tree, re-detaching its holes at their new node ids."""
-    return linearize(
-        root, {node.node_id: region for region, node in holes_by_region.items()}
+    Hole metadata is ``(region_id, node_id)`` pairs; a rebuilt tree has fresh node
+    ids, so only the region ids can survive a round trip.
+    """
+    return (
+        list(packed.codes),
+        list(packed.values),
+        list(packed.hole_meta[::2]),
+        packed.root_symbol,
+        packed.size_bytes(),
     )
 
 
-def assert_codec_parity(grammar, root, holes=None):
-    """The packed codec and the record form must encode and rebuild identically."""
-    linearized = linearize(root, holes)
+def assert_round_trip(grammar, root, holes=None):
+    """``pack(unpack(pack(tree)))`` must equal ``pack(tree)``, holes included."""
     packed = pack(grammar, root, holes)
-    # Identical record sequences and identical abstract transmission size.
-    assert len(packed) == len(linearized)
-    assert packed.size_bytes() == linearized.size_bytes()
-    assert packed.root_symbol == linearized.root_symbol
-    assert unpack_linearized(grammar, packed).records == linearized.records
-    converted = pack_linearized(grammar, linearized)
-    assert converted.codes == packed.codes
-    assert converted.values == packed.values
-    assert converted.hole_meta == packed.hole_meta
-    assert converted.size_bytes() == packed.size_bytes()
-    # Identical rebuilt trees (modulo fresh node ids).
-    rebuilt_ref, holes_ref = delinearize(grammar, linearized)
-    rebuilt_packed, holes_packed = unpack(grammar, packed)
-    assert sorted(holes_ref) == sorted(holes_packed)
-    assert _strip_node_ids(
-        _relinearize(grammar, rebuilt_ref, holes_ref).records
-    ) == _strip_node_ids(_relinearize(grammar, rebuilt_packed, holes_packed).records)
-    # The dispatch helper picks the right decoder for either form.
-    for wire in (linearized, packed):
-        root_again, holes_again = rebuild(grammar, wire)
-        assert sorted(holes_again) == sorted(holes_ref)
-        assert root_again.symbol.name == root.symbol.name
+    rebuilt, placeholders = unpack(grammar, packed)
+    assert sorted(placeholders) == sorted(packed.hole_meta[::2])
+    assert all(node.production is None for node in placeholders.values())
+    if not holes:
+        assert packed.size_bytes() == root.wire_size
+        assert len(packed) == root.node_count
+        assert rebuilt.pretty() == root.pretty()
+    repacked = pack(
+        grammar,
+        rebuilt,
+        {node.node_id: region for region, node in placeholders.items()},
+    )
+    assert _wire(repacked) == _wire(packed)
 
 
 class TestPascalExamplePrograms:
     @pytest.mark.parametrize("name", sorted(PASCAL_EXAMPLES))
     def test_whole_tree_round_trip(self, pascal, name):
         tree = pascal.parse(PASCAL_EXAMPLES[name])
-        assert_codec_parity(pascal.grammar, tree)
+        assert_round_trip(pascal.grammar, tree)
 
     @pytest.mark.parametrize("name", sorted(PASCAL_EXAMPLES))
     def test_regions_with_holes_round_trip(self, pascal, name):
@@ -104,7 +84,7 @@ class TestPascalExamplePrograms:
         decomposition = plan_decomposition(tree, 4)
         for region in decomposition.regions:
             holes = decomposition.holes_of(region.region_id)
-            assert_codec_parity(pascal.grammar, region.root, holes)
+            assert_round_trip(pascal.grammar, region.root, holes)
 
     def test_generated_program_with_holes(self, pascal):
         tree = pascal.parse(
@@ -116,7 +96,7 @@ class TestPascalExamplePrograms:
         for region in decomposition.regions:
             holes = decomposition.holes_of(region.region_id)
             saw_hole = saw_hole or bool(holes)
-            assert_codec_parity(pascal.grammar, region.root, holes)
+            assert_round_trip(pascal.grammar, region.root, holes)
         assert saw_hole, "decomposition produced no holes; the test lost its point"
 
 
@@ -155,7 +135,7 @@ class TestRandomizedFuzz:
                     continue
                 holes[node.node_id] = region
                 taken.add(node.node_id)
-            assert_codec_parity(grammar, tree, holes)
+            assert_round_trip(grammar, tree, holes)
 
     def test_packed_tree_pickle_round_trip(self):
         grammar = expression_grammar(min_split_size=1)
@@ -168,7 +148,9 @@ class TestRandomizedFuzz:
         assert clone.hole_meta == packed.hole_meta
         assert clone.root_symbol == packed.root_symbol
         assert clone.size_bytes() == packed.size_bytes()
-        assert unpack_linearized(grammar, clone).records == linearize(tree).records
+        rebuilt, holes = unpack(grammar, clone)
+        assert holes == {}
+        assert rebuilt.pretty() == tree.pretty()
 
 
 class TestCodecTables:

@@ -155,6 +155,25 @@ class TestSubstrateDifferential:
             assert report.root_attributes["value"] == reference.root_attributes["value"]
             assert vars(report.statistics) == vars(reference.statistics)
 
+    @pytest.mark.parametrize("machines", [1, 2])
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "simulated",
+            "threads",
+            pytest.param("processes", marks=requires_fork),
+            "sockets",
+        ],
+    )
+    def test_deep_tree_compiles(self, backend, machines):
+        """A 1000-term sum nests 1000 deep; every substrate rebuilds its regions
+        without running into the interpreter's recursion limit."""
+        from repro import Compiler
+
+        source = " + ".join(["2"] * 1000)
+        result = Compiler("exprlang", machines=machines, backend=backend).compile(source)
+        assert result.value == 2000
+
 
 def _needs_inherited_grammar():
     builder = GrammarBuilder("needs-inherited")

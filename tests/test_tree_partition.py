@@ -1,4 +1,4 @@
-"""Tests for parse trees, linearization and decomposition planning."""
+"""Tests for parse trees, the packed wire codec and decomposition planning."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.exprlang.evaluator import random_expression_source
 from repro.exprlang.frontend import parse_expression
 from repro.partition.decomposition import plan_decomposition
 from repro.partition.splitter import detach_subtree, splittable_nodes
-from repro.tree.linearize import delinearize, linearize
+from repro.tree.linearize import pack, unpack
 from repro.tree.node import ParseTreeNode
 from repro.tree.stats import tree_statistics
 
@@ -65,31 +65,28 @@ class TestLinearize:
     @pytest.mark.parametrize("source", ["1", "1 + 2 * 3", "let x = 3 in 1 + 2 * x ni"])
     def test_round_trip(self, expr_grammar, source):
         tree = parse_expression(source)
-        rebuilt, holes = delinearize(expr_grammar, linearize(tree))
+        rebuilt, holes = unpack(expr_grammar, pack(expr_grammar, tree))
         assert holes == {}
         assert rebuilt.pretty() == tree.pretty()
 
     def test_round_trip_with_holes(self, expr_grammar):
         tree = parse_expression("let x = 3 in 1 + 2 * x ni")
         block = next(n for n in tree.walk() if n.symbol.name == "block")
-        linearized = linearize(tree, holes={block.node_id: 7})
-        rebuilt, holes = delinearize(expr_grammar, linearized)
+        packed = pack(expr_grammar, tree, holes={block.node_id: 7})
+        rebuilt, holes = unpack(expr_grammar, packed)
         assert list(holes) == [7]
         assert holes[7].symbol.name == "block"
         assert holes[7].production is None
         # The hole stands in for the whole block subtree.
         assert rebuilt.subtree_size() == tree.subtree_size() - block.subtree_size() + 1
+        assert packed.size_bytes() == tree.wire_size - block.wire_size + 16
 
     def test_size_bytes_positive_and_monotonic(self, expr_grammar):
-        small = linearize(parse_expression("1 + 2"))
-        large = linearize(parse_expression(random_expression_source(40, seed=1)))
+        small = pack(expr_grammar, parse_expression("1 + 2"))
+        large = pack(
+            expr_grammar, parse_expression(random_expression_source(40, seed=1))
+        )
         assert 0 < small.size_bytes() < large.size_bytes()
-
-    def test_truncated_records_rejected(self, expr_grammar):
-        linearized = linearize(parse_expression("1 + 2"))
-        linearized.records.pop()
-        with pytest.raises(ValueError):
-            delinearize(expr_grammar, linearized)
 
     @given(st.integers(0, 2 ** 31))
     @settings(max_examples=25, deadline=None)
@@ -98,7 +95,8 @@ class TestLinearize:
         tree = parse_expression(source)
         from repro.exprlang.grammar import expression_grammar
 
-        rebuilt, _ = delinearize(expression_grammar(), linearize(tree))
+        grammar = expression_grammar()
+        rebuilt, _ = unpack(grammar, pack(grammar, tree))
         assert rebuilt.pretty() == tree.pretty()
 
 
@@ -117,7 +115,7 @@ class TestSplitting:
             for node, parent, index in tree.walk_with_parent()
             if node is block
         )
-        size, nodes = tree.linearized_size(), tree.subtree_size()
+        size, nodes = tree.wire_size, tree.subtree_size()
         hole = detach_subtree(tree, block)
         assert parent.children[index - 1] is hole
         assert hole.symbol.name == "block"
@@ -125,7 +123,7 @@ class TestSplitting:
         # The detached subtree is untouched; the tree's summaries describe the hole.
         assert block.subtree_size() == sum(1 for _ in block.walk())
         assert tree.subtree_size() == nodes - block.subtree_size() + 1
-        assert tree.linearized_size() == size - block.linearized_size() + 8
+        assert tree.wire_size == size - block.wire_size + 8
 
     def test_detach_root_rejected(self):
         tree = parse_expression("1")
@@ -179,7 +177,6 @@ def _check_summaries(root):
             node.token_count,
         ) == recomputed[id(node)], node
     assert root.subtree_size() == root.node_count == len(recomputed)
-    assert root.linearized_size() == root.wire_size
 
 
 def _walked_instances(root, hole_nodes):
@@ -231,7 +228,6 @@ class TestSubtreeSummaries:
         from repro.api.language import get_language
         from repro.evaluation.combined import CombinedScheduler
         from repro.pascal.programs import generate_program
-        from repro.tree.linearize import pack, unpack
 
         rng = random.Random(seed)
         pascal, exprlang = get_language("pascal"), get_language("exprlang")
@@ -272,26 +268,23 @@ class TestSubtreeSummaries:
                 _check_summaries(result.report.decomposition.regions[0].root)
         assert modes == ["cold", "reuse", "splice", "full"]
 
-        # (iii) region trees rebuilt from both wire forms, with 0-3 holes, and the
-        # statistics a scheduler reports for them.
+        # (iii) a region tree rebuilt from the wire, with 0-3 holes, and the
+        # statistics a scheduler reports for it.
         detached = _disjoint_split_nodes(tree, rng, hole_count)
         holes = {node.node_id: region for region, node in enumerate(detached, start=1)}
-        for rebuilt, placeholders in (
-            unpack(grammar, pack(grammar, tree, holes)),
-            delinearize(grammar, linearize(tree, holes)),
-        ):
-            assert len(placeholders) == len(detached)
-            _check_summaries(rebuilt)
-            hole_nodes = list(placeholders.values())
-            scheduler = CombinedScheduler(grammar, rebuilt, hole_nodes=hole_nodes)
-            walked = _walked_instances(rebuilt, hole_nodes)
-            assert scheduler.statistics().static_instances == walked
-            while scheduler.has_ready_task():
-                scheduler.run_task(scheduler.next_task())
-            statistics = scheduler.statistics()
-            assert statistics.static_instances == max(
-                0, walked - statistics.dynamic_instances
-            )
+        rebuilt, placeholders = unpack(grammar, pack(grammar, tree, holes))
+        assert len(placeholders) == len(detached)
+        _check_summaries(rebuilt)
+        hole_nodes = list(placeholders.values())
+        scheduler = CombinedScheduler(grammar, rebuilt, hole_nodes=hole_nodes)
+        walked = _walked_instances(rebuilt, hole_nodes)
+        assert scheduler.statistics().static_instances == walked
+        while scheduler.has_ready_task():
+            scheduler.run_task(scheduler.next_task())
+        statistics = scheduler.statistics()
+        assert statistics.static_instances == max(
+            0, walked - statistics.dynamic_instances
+        )
 
         # (iv) the same holes cut in place.
         for node in detached:
@@ -327,7 +320,7 @@ def _exhaustive_plan(root, machines, min_size=None, scale=1.0):
     threshold = (
         int(min_size)
         if min_size is not None
-        else max(1, int(root.linearized_size() / machines * scale))
+        else max(1, int(root.wire_size / machines * scale))
     )
     # Reversing a pre-order that visits children right-to-left gives post-order.
     post_order, stack = [], [root]
@@ -342,7 +335,7 @@ def _exhaustive_plan(root, machines, min_size=None, scale=1.0):
             break
         if node is root or node.is_terminal or not node.symbol.splittable:
             continue
-        size = node.linearized_size() - detached.get(node.node_id, 0)
+        size = node.wire_size - detached.get(node.node_id, 0)
         if size < max(threshold, node.symbol.min_split_size):
             continue
         chosen.add(node.node_id)
@@ -367,14 +360,14 @@ def _exhaustive_plan(root, machines, min_size=None, scale=1.0):
                 index,
                 node.node_id,
                 parents[index],
-                node.linearized_size()
-                - sum(roots[child].linearized_size() for child in children),
+                node.wire_size
+                - sum(roots[child].wire_size for child in children),
                 node.subtree_size()
                 - sum(roots[child].subtree_size() for child in children),
                 children,
             )
         )
-    return regions, root.linearized_size(), threshold
+    return regions, root.wire_size, threshold
 
 
 def _planner_corpus():
@@ -495,6 +488,29 @@ class TestAcyclicTrees:
             _check_summaries(new)
             del new
             assert _live_tree_nodes() == baseline
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("backend", ["simulated", "threads"])
+    def test_shipping_regions_leaves_no_cyclic_garbage(self, backend):
+        """Packing, shipping and rebuilding the regions of an in-process compile
+        leaves nothing that only the cyclic collector could free."""
+        from repro import Compiler
+        from repro.api.language import get_language
+        from repro.pascal.programs import generate_program
+
+        source = generate_program(procedures=16)
+        assert get_language("pascal").parse(source).node_count >= 5_000
+        compiler = Compiler("pascal", machines=4, backend=backend)
+        compiler.compile(source)  # tables, plans and codec: built once
+        gc.collect()
+        gc.disable()
+        try:
+            baseline = len(gc.get_objects())
+            result = compiler.compile(source)
+            assert result.report.decomposition.region_count == 4
+            del result
+            assert len(gc.get_objects()) - baseline < 1_000
         finally:
             gc.enable()
 
