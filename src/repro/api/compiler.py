@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.api.language import Language, engine_for, get_language
-from repro.backends.base import Substrate
+from repro.backends.base import Substrate, compiles_in_flight
 from repro.distributed.compiler import (
     CompilationReport,
     CompilerConfiguration,
@@ -138,15 +138,12 @@ class Compiler:
         root_inherited: Optional[Dict[str, Any]] = None,
     ) -> CompileResult:
         """Parse and compile ``source``; returns the uniform :class:`CompileResult`."""
-        started = time.perf_counter()
-        tree = self.language.parse(source)
-        wall_parse = time.perf_counter() - started
-        return self.compile_tree(
-            tree,
-            machines=machines,
-            root_inherited=root_inherited,
-            wall_parse_seconds=wall_parse,
-        )
+        with compiles_in_flight:
+            started = time.perf_counter()
+            tree = self.language.parse(source)
+            wall_parse = time.perf_counter() - started
+            report = self._engine_compile(tree, machines, root_inherited)
+        return self._result(report, wall_parse)
 
     def compile_tree(
         self,
@@ -157,13 +154,25 @@ class Compiler:
         wall_parse_seconds: float = 0.0,
     ) -> CompileResult:
         """Compile an already-parsed tree (for machine-count sweeps over one program)."""
-        report = self._engine.compile_tree(
+        with compiles_in_flight:
+            report = self._engine_compile(tree, machines, root_inherited)
+        return self._result(report, wall_parse_seconds)
+
+    def _engine_compile(
+        self,
+        tree: ParseTreeNode,
+        machines: Optional[int],
+        root_inherited: Optional[Dict[str, Any]],
+    ) -> CompilationReport:
+        return self._engine.compile_tree(
             tree,
             machines or self.machines,
             root_inherited=root_inherited,
             backend=self.backend,
             substrate=self.substrate,
         )
+
+    def _result(self, report: CompilationReport, wall_parse_seconds: float) -> CompileResult:
         report.wall_parse_seconds = wall_parse_seconds
         return CompileResult(
             language=self.language.name,

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import abc
 import gc
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Mapping, Optional
@@ -514,17 +515,70 @@ def drive(body: Generator, receive: Any) -> None:
 
 
 def freeze_inherited_heap() -> None:
-    """First call of a freshly forked worker: take the collector off the compile path.
+    """First call of a freshly forked worker: take the collector off its compile path.
 
-    Everything alive at the fork — grammars, plans, the parent's caches and
-    documents — belongs to the parent, and nothing the worker does can make it
-    garbage here.  ``gc.freeze()`` moves it to the permanent generation, so no
-    collection in this process traverses it, or writes to its GC headers and so
-    copies pages the worker would otherwise share with its parent forever.
-    Automatic collection is then switched off: a threshold-triggered pass in the
-    middle of an evaluation costs in proportion to everything the job has built
-    so far, every time.  The worker calls ``gc.collect()`` itself where the heap
-    is smallest — between jobs, or never if it runs one job and exits.
+    This module owns the process's whole collector policy, and the policy is one
+    rule: *no cyclic collection while a compile is in flight*.  A compile's trees,
+    tables and attribute values live exactly as long as the compile, so a young-
+    generation scan in the middle of one keeps re-walking live objects, and an
+    in-process compile leaves no cycle for it to find.
+
+    * A pooled worker is always compiling or waiting for its next job.  Everything
+      alive at the fork belongs to the parent and cannot become garbage here, so
+      ``gc.freeze()`` moves it to the permanent generation: no collection in this
+      process traverses it, or writes to its GC headers and so copies pages the
+      worker would otherwise share with its parent.  Automatic collection is then
+      off for good, and the worker calls ``gc.collect()`` itself between jobs, when
+      its heap is smallest — or never, if it runs one job and exits.
+    * A driving process (``simulated``, ``threads``, the service, the server) pauses
+      automatic collection with :data:`compiles_in_flight` while any compile runs in
+      it, and gets it back the moment the last one ends.
     """
     gc.disable()
     gc.freeze()
+
+
+class CompilesInFlight:
+    """Reference-counted pause of automatic cyclic collection (the policy is above).
+
+    ``with compiles_in_flight:`` spans one in-process compile, from parse to the
+    end of evaluation.  The first compile to enter switches automatic collection
+    off, if it is on; the last one to leave switches it back on, only if it was
+    switched off here, so a process whose owner disabled the collector keeps it
+    disabled.  A nested entry only counts.  Resuming needs no ``gc.collect()``:
+    the allocations counted during the pause trigger one young collection on the
+    next allocation, and it walks only what survived the compile.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._paused = False
+        self._resumes = 0
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0 and gc.isenabled():
+                gc.disable()
+                self._paused = True
+            self._depth += 1
+
+    def __exit__(self, *exc_info: Any) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._paused:
+                self._paused = False
+                gc.enable()
+                self._resumes += 1
+
+    def snapshot(self) -> Dict[str, int]:
+        """``compiles_in_flight`` now, and how often collection resumed after a pause.
+
+        Lock-free, so a ``gc.callbacks`` hook may call it: building the dict can
+        start a collection, which must not find the lock held by its own thread.
+        """
+        return {"compiles_in_flight": self._depth, "resumes": self._resumes}
+
+
+#: The process's one guard, entered by every in-process compile entry point.
+compiles_in_flight = CompilesInFlight()

@@ -42,12 +42,18 @@ class SimulatedMailbox(Mailbox):
 
 
 def raise_if_deadlocked(environment: Environment) -> None:
-    """Fail typed when the kernel's queue drained with bodies still parked."""
+    """Fail typed when the kernel's queue drained with bodies still parked.
+
+    The error names each parked body and the mailbox it waits on.
+    """
     unfinished = environment.unfinished_processes()
     if unfinished:
         raise BackendError(
             "parallel compilation deadlocked; unfinished processes: "
-            + ", ".join(process.name for process in unfinished)
+            + ", ".join(
+                f"{process.name} (waiting on {process.waiting_on!r})"
+                for process in unfinished
+            )
         )
 
 

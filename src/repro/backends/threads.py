@@ -7,10 +7,11 @@ run cooperatively on the thread that calls ``run()``; each mailbox is a simulato
 ``time.perf_counter()``.  Different sessions run concurrently on their callers' threads.
 
 A deadlock is found, not timed out: when the kernel's queue drains with bodies still
-parked, ``run()`` raises :class:`BackendError` naming them.  ``receive_timeout`` bounds
-the session's wall clock, checked as a body resumes at a ``Receive``; an abort from
-another thread (``close()``, or the substrate's ``shutdown()``) is seen before the next
-resume.  Any failure is a typed :class:`BackendError` that names its body.
+parked, ``run()`` raises :class:`BackendError` naming them and the mailbox each one
+waits on.  ``receive_timeout`` bounds the session's wall clock, checked as a body
+resumes at a ``Receive``; an abort from another thread (``close()``, or the
+substrate's ``shutdown()``) is seen before the next resume.  Any failure is a typed
+:class:`BackendError` that names its body.
 """
 
 from __future__ import annotations

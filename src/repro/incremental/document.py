@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.backends.base import Substrate
+from repro.backends.base import Substrate, compiles_in_flight
 from repro.distributed.compiler import CompilerConfiguration
 from repro.incremental.cache import ArtifactCache
 from repro.incremental.engine import IncrementalCompiler
@@ -147,18 +147,19 @@ class Document:
         """
         from repro.api.compiler import CompileResult
 
-        started = time.perf_counter()
-        tree, mode = self._front_end()
-        wall_parse = time.perf_counter() - started
+        with compiles_in_flight:
+            started = time.perf_counter()
+            tree, mode = self._front_end()
+            wall_parse = time.perf_counter() - started
 
-        report, incremental = self._incremental.compile_tree(
-            tree,
-            self.machines,
-            root_inherited=self._root_inherited,
-            backend=self.backend,
-            substrate=self.substrate,
-            memo=self._memo,
-        )
+            report, incremental = self._incremental.compile_tree(
+                tree,
+                self.machines,
+                root_inherited=self._root_inherited,
+                backend=self.backend,
+                substrate=self.substrate,
+                memo=self._memo,
+            )
         incremental.frontend = mode
         report.wall_parse_seconds = wall_parse
         result = CompileResult(

@@ -72,16 +72,19 @@ class Process:
 
     Pids are allocated by the owning environment (not a class-level global), so every
     fresh :class:`Environment` numbers its processes from 1 and back-to-back
-    simulations are independently reproducible.
+    simulations are independently reproducible.  A process keeps no reference to
+    its environment, and ``waiting_on`` is the *name* of the store it last parked
+    on, not the store: the environment already lists its processes, and a link
+    back would make every run a reference cycle that only the collector frees.
     """
 
     def __init__(self, environment: "Environment", generator: Generator, name: str = ""):
         self.pid = environment._allocate_pid()
         self.name = name or f"process-{self.pid}"
-        self.environment = environment
         self.generator = generator
         self.finished = False
         self.result: Any = None
+        self.waiting_on: Optional[str] = None
 
     def __repr__(self) -> str:
         state = "finished" if self.finished else "running"
@@ -152,6 +155,8 @@ class Environment:
             available, item = request.store._try_get(process)
             if available:
                 self._schedule_resume(process, item)
+            else:
+                process.waiting_on = request.store.name
         else:
             raise SimulationError(
                 f"process {process.name!r} yielded an unsupported request: {request!r}"

@@ -46,6 +46,7 @@ from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.api.language import UnknownLanguageError, get_language
 from repro.backends import create_substrate
+from repro.backends.base import compiles_in_flight
 from repro.faults import plan as _faults
 from repro.incremental.cache import ArtifactCache
 from repro.parsing.lexer import LexerError
@@ -702,7 +703,9 @@ class CompileServer:
                     "uptime_seconds": round(time.monotonic() - self._started_at, 3),
                     # What this process retains, and what the cyclic collector
                     # has spent walking it: a cache that fills with GC-tracked
-                    # objects shows here as full collections per request.
+                    # objects shows here as full collections per request.  The
+                    # collector is paused while any compile is in flight;
+                    # ``resumes`` counts the moments it came back.
                     "artifact_cache": {
                         "entries": len(self.cache),
                         "max_entries": self.cache.max_entries,
@@ -714,6 +717,7 @@ class CompileServer:
                             generation["collections"] for generation in gc.get_stats()
                         ],
                         "frozen": gc.get_freeze_count(),
+                        **compiles_in_flight.snapshot(),
                     },
                 },
             },

@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.backends import Substrate, create_substrate
+from repro.backends.base import compiles_in_flight
 from repro.distributed.compiler import CompilationReport, ParallelCompiler
 from repro.faults import plan as _faults
 from repro.resilience import CancelToken, Deadline, DeadlineExceeded
@@ -551,48 +552,49 @@ class CompilationService:
         started = time.perf_counter()
         did_parse = job.tree is None  # pre-built trees involve no parse phase
         try:
-            # Deadline before cancel token at every boundary: callers cancel
-            # *because* their budget ran out, and the spent budget is the more
-            # specific diagnosis (it is also what deadline_misses counts).
-            if deadline is not None:
-                deadline.check(f"job {job.label!r}")
-            if cancel_token is not None:
-                cancel_token.check(f"job {job.label!r}")
-            engine, tree = job.resolve()
-            parsed = time.perf_counter()
-            if deadline is not None:
-                # The parse phase may have consumed budget; re-check before the
-                # expensive compile, and hand the substrate only what remains.
-                deadline.check(f"job {job.label!r}")
-            if cancel_token is not None:
-                cancel_token.check(f"job {job.label!r}")
-            receive_bound = deadline.bound() if deadline is not None else None
-            if self._artifact_cache is not None:
-                # Content-addressed region reuse across jobs: resubmitting the same
-                # (or a slightly edited) source replays every unchanged region.
-                from repro.incremental.engine import IncrementalCompiler
+            with compiles_in_flight:
+                # Deadline before cancel token at every boundary: callers cancel
+                # *because* their budget ran out, and the spent budget is the more
+                # specific diagnosis (it is also what deadline_misses counts).
+                if deadline is not None:
+                    deadline.check(f"job {job.label!r}")
+                if cancel_token is not None:
+                    cancel_token.check(f"job {job.label!r}")
+                engine, tree = job.resolve()
+                parsed = time.perf_counter()
+                if deadline is not None:
+                    # The parse phase may have consumed budget; re-check before the
+                    # expensive compile, and hand the substrate only what remains.
+                    deadline.check(f"job {job.label!r}")
+                if cancel_token is not None:
+                    cancel_token.check(f"job {job.label!r}")
+                receive_bound = deadline.bound() if deadline is not None else None
+                if self._artifact_cache is not None:
+                    # Content-addressed region reuse across jobs: resubmitting the same
+                    # (or a slightly edited) source replays every unchanged region.
+                    from repro.incremental.engine import IncrementalCompiler
 
-                report, _ = IncrementalCompiler(
-                    engine, self._artifact_cache
-                ).compile_tree(
-                    tree,
-                    job.machines,
-                    root_inherited=job.root_inherited,
-                    substrate=self._substrate,
-                    receive_timeout=receive_bound,
-                )
-            else:
-                report = engine.compile_tree(
-                    tree,
-                    job.machines,
-                    root_inherited=job.root_inherited,
-                    substrate=self._substrate,
-                    receive_timeout=receive_bound,
-                )
-            if deadline is not None:
-                # Strict semantics: a deadline-bearing job never reports success
-                # after its budget — the caller has already given up on it.
-                deadline.check(f"job {job.label!r}")
+                    report, _ = IncrementalCompiler(
+                        engine, self._artifact_cache
+                    ).compile_tree(
+                        tree,
+                        job.machines,
+                        root_inherited=job.root_inherited,
+                        substrate=self._substrate,
+                        receive_timeout=receive_bound,
+                    )
+                else:
+                    report = engine.compile_tree(
+                        tree,
+                        job.machines,
+                        root_inherited=job.root_inherited,
+                        substrate=self._substrate,
+                        receive_timeout=receive_bound,
+                    )
+                if deadline is not None:
+                    # Strict semantics: a deadline-bearing job never reports success
+                    # after its budget — the caller has already given up on it.
+                    deadline.check(f"job {job.label!r}")
         except BaseException as error:
             with self._lock:
                 self._failed += 1

@@ -559,7 +559,9 @@ class TestBackendRobustness:
 
         backend.spawn(waiting_body(), name="lonely-reader")
         started = time.monotonic()
-        with pytest.raises(BackendError, match="deadlocked.*lonely-reader"):
+        with pytest.raises(
+            BackendError, match=r"deadlocked.*lonely-reader \(waiting on 'never-written'\)"
+        ):
             backend.run()
         assert time.monotonic() - started < 0.5
 

@@ -22,6 +22,7 @@ import pytest
 
 from repro import Compiler, Session
 from repro.api import get_language
+from repro.backends import BackendError
 from repro.incremental import ArtifactCache, Document, fingerprint
 from repro.incremental.cache import REGION_NAMESPACE, RegionArtifact
 from repro.incremental.fingerprint import FingerprintMemo, region_keys
@@ -624,6 +625,32 @@ class TestEarlyCutoff:
                 result = document.recompile()
         # Region 2's artifact is the renamed build's, regions 1 and 3 the retuned's.
         assert result.incremental.content_misses == 0
+        assert result.value == reference.value
+        assert result.errors == reference.errors
+
+    @pytest.mark.xfail(strict=True, raises=BackendError, reason="ROADMAP item 24")
+    @pytest.mark.parametrize("backend", ["simulated", "threads"])
+    def test_deleting_an_inserted_routine_equals_cold_compile(self, backend):
+        """Insert a copy of ``proc1`` before ``proc2``, recompile, delete it again and
+        recompile: the last compile's text is the original, so its result must equal
+        a cold compile.  A replayed region between two dirty ones sends a recorded
+        descriptor naming a fragment the live region below no longer produces, and
+        the kernel finds the librarian and the parser parked for good."""
+        source = generate_program(procedures=46)
+        start, end = source.index("procedure proc1"), source.index("procedure proc2")
+        copy = source[start:end].replace("proc1", "procx")
+        reference = Compiler("pascal", machines=CHAIN_MACHINES, backend=backend).compile(
+            source
+        )
+        with Session(backend=backend, machines=CHAIN_MACHINES) as session:
+            document = session.open("pascal", source, machines=CHAIN_MACHINES)
+            document.recompile()
+            document.insert(end, copy)
+            assert document.recompile().ok
+            document.delete(end, end + len(copy))
+            assert document.text == source
+            result = document.recompile()
+        assert reference.ok
         assert result.value == reference.value
         assert result.errors == reference.errors
 

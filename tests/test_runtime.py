@@ -206,31 +206,3 @@ class TestCostModel:
         model = CostModel()
         stats = EvaluationStatistics(dependency_vertices=10, dependency_edges=20)
         assert model.dynamic_graph_memory(stats) == 10 * model.bytes_per_dependency_vertex + 20 * model.bytes_per_dependency_edge
-
-
-class TestArena:
-    def test_high_water_mark_never_decreases(self):
-        from repro.alloc.arena import Arena
-
-        arena = Arena()
-        arena.allocate("tree", 100)
-        arena.allocate("graph", 50)
-        assert arena.high_water_mark() == 150
-        assert arena.by_kind()["tree"].allocations == 1
-
-    def test_negative_allocation_rejected(self):
-        from repro.alloc.arena import Arena
-
-        with pytest.raises(ValueError):
-            Arena().allocate("x", -1)
-
-    def test_merge(self):
-        from repro.alloc.arena import Arena
-
-        left, right = Arena(), Arena()
-        left.allocate("a", 10)
-        right.allocate("a", 5)
-        right.allocate("b", 1)
-        left.merge(right)
-        assert left.high_water_mark() == 16
-        assert left.by_kind()["a"].bytes_allocated == 15

@@ -900,6 +900,11 @@ class TestStatsEndpoint:
         assert len(collector["collections"]) == len(gc.get_stats())
         assert all(isinstance(count, int) for count in collector["collections"])
         assert collector["frozen"] == gc.get_freeze_count()
+        # The one-shot compile paused the collector and, ending with no other
+        # compile in flight, brought it back.
+        assert collector["compiles_in_flight"] == 0
+        assert collector["resumes"] >= 1
+        assert gc.isenabled()
         client.close()
 
 

@@ -514,6 +514,33 @@ class TestAcyclicTrees:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("backend", ["simulated", "threads"])
+    def test_compiles_leave_nothing_for_the_collector(self, backend):
+        """Five warmed one-shot compiles and five Document edits + recompiles make
+        no reference cycle: the collector, paused while they run, has nothing to do."""
+        from repro import Compiler, Session
+        from repro.pascal.programs import generate_program
+
+        source = generate_program(procedures=16)
+        compiler = Compiler("pascal", machines=4, backend=backend)
+        compiler.compile(source)  # tables, plans and codec: built once
+        with Session(backend=backend, machines=4) as session:
+            document = session.open("pascal", source, machines=4)
+            document.recompile()
+            literal = source.index(":= 1")
+            gc.collect()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                for digit in "23452":
+                    assert compiler.compile(source).report.decomposition.region_count == 4
+                    document.edit(literal, literal + 4, ":= " + digit)
+                    assert document.recompile().incremental.regions_reused >= 1
+                gc.collect()
+                assert gc.garbage == []
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+
 
 # ------------------------------------------------------- no whole-tree walk left
 
