@@ -20,7 +20,13 @@ New languages plug in by registration (:class:`GrammarLanguage` +
 
 See ``README.md`` at the repository root for the architecture overview and a tour of
 the packages, examples and benchmarks.
+
+The service layer (:mod:`repro.service`) and the HTTP front door (:mod:`repro.server`,
+which brings in ``asyncio``) load on first use of one of their names, so a process
+that only compiles never pays for them (PEP 562 module ``__getattr__``).
 """
+
+import importlib
 
 from repro.grammar import (
     AttributeGrammar,
@@ -56,7 +62,6 @@ from repro.distributed.compiler import (
     ParallelCompiler,
 )
 from repro.parsing import Lexer, Parser, ParseError, Token, TokenSpec
-from repro.service import CompilationJob, CompilationService, ServiceStats
 from repro.strings import Rope, rope
 from repro.symtab import SymbolTable, st_add, st_create, st_lookup
 from repro.exprlang import (
@@ -65,7 +70,6 @@ from repro.exprlang import (
     expression_grammar,
     parse_expression,
 )
-from repro.server import CompileServer, ServerConfig
 from repro.api import (
     ArtifactCache,
     Compiler,
@@ -84,6 +88,35 @@ from repro.api import (
 )
 
 __version__ = "1.1.0"
+
+#: Names exported here whose module is imported on first access, not with ``repro``.
+_LAZY = {
+    "CompilationJob": "repro.service",
+    "CompilationService": "repro.service",
+    "ServiceStats": "repro.service",
+    "CompileServer": "repro.server",
+    "ServerConfig": "repro.server",
+}
+
+#: Subpackages ``import repro`` does not load, reachable as ``repro.<name>`` all the same.
+_LAZY_SUBPACKAGES = frozenset({"server", "service", "cluster"})
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(module), name)
+    elif name in _LAZY_SUBPACKAGES:
+        value = importlib.import_module(f"repro.{name}")
+    else:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | _LAZY_SUBPACKAGES)
+
 
 __all__ = [
     "AttributeGrammar",

@@ -13,8 +13,8 @@ from typing import Dict, List, Optional
 
 from repro.analysis.dependencies import (
     DependencyGraph,
-    augmented_production_graphs,
-    induced_dependencies,
+    augmented_production_graph,
+    close_productions,
 )
 from repro.grammar.grammar import AttributeGrammar, GrammarError
 
@@ -41,12 +41,9 @@ def check_noncircular(
     analysis needs the same information).  Raises :class:`CircularGrammarError` on
     failure.
     """
-    if ids is None:
-        ids = induced_dependencies(grammar)
-    for production, graph in zip(
-        grammar.productions, augmented_production_graphs(grammar, ids).values()
-    ):
-        cycle = graph.find_cycle()
-        if cycle:
-            raise CircularGrammarError(production.label, cycle)
+    ids, cyclic = close_productions(grammar, ids)
+    if cyclic:
+        production = cyclic[0]
+        cycle = augmented_production_graph(production, ids).find_cycle()
+        raise CircularGrammarError(production.label, cycle)
     return ids

@@ -120,6 +120,8 @@ class Compiler:
         self._engine = engine_for(
             self.language, evaluator or "combined", configuration
         )
+        if substrate is not None:
+            self._engine.prepare(substrate)
 
     @property
     def engine(self) -> ParallelCompiler:

@@ -19,6 +19,9 @@ compile — ``compile_tree(..., substrate=pool)`` or the :mod:`repro.service` la
 top.  A one-shot compile (:func:`create_backend`, ``ParallelCompiler(grammar,
 backend="processes")``) is the same substrate, private to one session: started, used
 once and shut down when the run ends (:meth:`Substrate.one_shot`).
+
+:mod:`repro.backends.sockets` (and with it :mod:`repro.cluster`) is imported when the
+``sockets`` substrate is first created or ``SocketsSubstrate`` first named.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from repro.backends.base import (
 )
 from repro.backends.processes import ProcessesSubstrate
 from repro.backends.simulated import SimulatedSession, SimulatedSubstrate
-from repro.backends.sockets import SocketsSubstrate
 from repro.backends.threads import ThreadsSubstrate
 from repro.runtime.cost import CostModel
 from repro.runtime.network import NetworkParameters
@@ -98,8 +100,22 @@ def create_substrate(
     if name == "processes":
         return ProcessesSubstrate(workers=workers, receive_timeout=receive_timeout)
     if name == "sockets":
+        from repro.backends.sockets import SocketsSubstrate
+
         return SocketsSubstrate(workers=workers, receive_timeout=receive_timeout)
     raise ValueError(f"unknown substrate {name!r}; choose from {BACKEND_NAMES}")
+
+
+def __getattr__(name: str):
+    if name == "SocketsSubstrate":
+        from repro.backends.sockets import SocketsSubstrate
+
+        return SocketsSubstrate
+    raise AttributeError(f"module 'repro.backends' has no attribute {name!r}")
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | {"SocketsSubstrate"})
 
 
 __all__ = [

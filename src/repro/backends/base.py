@@ -360,6 +360,17 @@ class Substrate(abc.ABC):
         session._owned = self
         return session
 
+    def prepare(self, job: WorkerJob) -> None:
+        """Build, in this process, what jobs sharing ``job.shared`` derive from it.
+
+        Called when a compiler binds to the substrate, before its first job.  A
+        substrate that forks its workers from this process (``processes``) registers
+        ``job.shared`` and calls ``job.factory(**job.kwargs, **shared)`` here, so every
+        worker forked from now on inherits the shared objects together with what the
+        factory built from them, and receives neither over its pipe.  The other
+        substrates have nothing to inherit; the default does nothing.
+        """
+
     @property
     def sessions_opened(self) -> int:
         """How many run sessions this substrate has handed out so far."""

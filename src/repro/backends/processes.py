@@ -8,8 +8,11 @@ process is handed over as the object it is.
 :class:`ProcessesSubstrate` is a pool of long-lived forked workers, each reading
 picklable :class:`~repro.backends.base.WorkerJob` specs from a pipe of its own, so fork
 cost is paid once, not per compile; grammar + plan bundles ship to each worker once and
-are cached there by key.  The pool grows on demand and serves many concurrent run
-sessions; a one-shot compile is a private pool, started, used once and shut down.
+are cached there by key.  A worker forked after a bundle was registered inherits it
+instead, with the evaluator code the driving process compiled from it when the compiler
+bound to the pool (:meth:`ProcessesSubstrate.prepare`).  The pool grows on demand and
+serves many concurrent run sessions; a one-shot compile is a private pool, started,
+used once and shut down.
 
 - **worker → parent**: each worker pickles every record (``send``, ``claim``,
   ``report``, then ``done``/``aborted``/``error``) straight into its own one-way pipe,
@@ -326,13 +329,18 @@ class _ChildTransport:
             raise _JobAborted()
 
 
-def _pool_worker_main(worker_index: int, jobs: Any, records: Any) -> None:
+def _pool_worker_main(
+    worker_index: int, jobs: Any, records: Any, inherited: Dict[int, Any]
+) -> None:
     """Entry point of a long-lived pooled worker process.
 
     Reads frames from ``jobs`` until the pipe reaches EOF — the pool was shut down, or
     the driving process died.  Between jobs only a job spec matters; a delivery or an
     abort read then belongs to a job that is over.  Shared bundles (grammar + plan)
-    arrive at most once and are cached by key for every later job.  A failing or
+    registered with the pool before this worker forked are ``inherited`` as the
+    parent's own objects, with whatever the parent derived from them (its compiled
+    evaluators, see :meth:`ProcessesSubstrate.prepare`); later ones arrive pickled,
+    at most once.  Both are cached by key for every later job.  A failing or
     aborted job is reported on ``records`` and the worker stays alive for the next job
     — one bad compilation never costs the pool a fork.
 
@@ -344,7 +352,7 @@ def _pool_worker_main(worker_index: int, jobs: Any, records: Any) -> None:
     """
     _drop_parent_ends()
     freeze_inherited_heap()
-    shared_cache: Dict[int, Any] = {}
+    shared_cache: Dict[int, Any] = dict(inherited)
     _faults.load_from_env()
     adopted_fault_token: Optional[str] = os.environ.get(_faults.ENV_VAR)
     while True:
@@ -653,7 +661,7 @@ class ProcessesSubstrate(Substrate):
             _PARENT_ENDS.update((jobs_writer, records_reader))
             process = self._context.Process(
                 target=_pool_worker_main,
-                args=(index, jobs_reader, records_writer),
+                args=(index, jobs_reader, records_writer, dict(self._shared_objects)),
                 name=f"repro-pool-worker-{index}",
                 daemon=True,
             )
@@ -671,6 +679,7 @@ class ProcessesSubstrate(Substrate):
         worker = _PoolWorker(
             index, process, jobs_writer, records_reader, self._wake_dispatcher
         )
+        worker.known_keys.update(self._shared_objects)
         self._workers.append(worker)
         self._wake_dispatcher()  # its wait set is one worker short
         return worker
@@ -762,6 +771,10 @@ class ProcessesSubstrate(Substrate):
                     for worker in self._workers
                     if worker.current is None and worker.process.is_alive()
                 ]
+                # Registered before any fork below, so a new worker inherits them.
+                for job, _ in jobs:
+                    for obj in job.shared.values():
+                        self._shared_entry(obj)
                 while len(free) < len(jobs):
                     free.append(self._fork_worker_locked())
                 active_plan = _faults.ACTIVE
@@ -799,6 +812,16 @@ class ProcessesSubstrate(Substrate):
                 session._settle_jobs(len(jobs) - submitted)
                 raise
             self._evict_delivered_blobs_locked()
+
+    def prepare(self, job: WorkerJob) -> None:
+        with self._lock:
+            if self._stopped:
+                return
+            shared = {
+                argument: self._shared_objects[self._shared_entry(obj)]
+                for argument, obj in job.shared.items()
+            }
+        job.factory(**dict(job.kwargs), **shared)
 
     def _abort_session(self, session: "ProcessesSession") -> None:
         """Tell every pooled worker still running a job of ``session`` to unwind.

@@ -46,6 +46,7 @@ from repro.distributed.evaluator_node import (
     EvaluatorReport,
     default_attribute_phase,
     evaluator_body,
+    prepare_evaluator,
 )
 from repro.distributed.librarian import StringLibrarian
 from repro.distributed.recording import IncrementalSessionPlan
@@ -283,6 +284,27 @@ class ParallelCompiler:
             self._grammar_bundle = (self.grammar, self.plan)
 
     # -------------------------------------------------------------------- API
+
+    def prepare(self, substrate: Substrate) -> None:
+        """Let ``substrate`` build this compiler's evaluator artifacts before its first job.
+
+        On ``processes`` the rule tables, compiled rules and compiled visit segments
+        (:func:`prepare_evaluator`) are built once in this process, and every worker
+        forked afterwards inherits them instead of building its own after its first
+        region arrives.
+        """
+        config = self.configuration
+        substrate.prepare(
+            WorkerJob(
+                factory=prepare_evaluator,
+                kwargs=dict(
+                    evaluator_kind=config.evaluator,
+                    use_tables=config.use_precompiled_tables,
+                    use_compiled=config.use_compiled_plans,
+                ),
+                shared={"grammar_bundle": self._grammar_bundle},
+            )
+        )
 
     def compile_tree(
         self,

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
+from repro.analysis.plan_compiler import compiled_rules, compiled_segments
+from repro.analysis.tables import evaluation_tables
 from repro.analysis.visit_sequences import OrderedEvaluationPlan
 from repro.backends.base import Backend, Compute, Mailbox, Receive
 from repro.distributed.protocol import (
@@ -110,6 +112,30 @@ def evaluator_body(
         record=record,
     )
     return node.run()
+
+
+def prepare_evaluator(
+    *,
+    grammar_bundle: Tuple[AttributeGrammar, Optional[OrderedEvaluationPlan]],
+    evaluator_kind: str,
+    use_tables: bool = True,
+    use_compiled: bool = True,
+) -> None:
+    """Build what an evaluator of ``grammar_bundle`` derives from it, ahead of its job.
+
+    The rule tables, compiled rules and compiled visit segments are cached per grammar
+    (:mod:`repro.analysis.plan_compiler`).  Built here when a compiler binds to a
+    ``processes`` pool, they are inherited by every worker forked afterwards and found
+    ready when :func:`evaluator_body` runs there.
+    """
+    grammar, plan = grammar_bundle
+    if not use_tables:
+        return
+    evaluation_tables(grammar)
+    if use_compiled:
+        compiled_rules(grammar)
+        if evaluator_kind == "combined" and plan is not None:
+            compiled_segments(grammar, plan)
 
 
 @dataclass

@@ -92,6 +92,8 @@ class Document:
             self.cache = ArtifactCache()
         self._root_inherited = root_inherited
         self._engine = engine_for(self.language, evaluator or "combined", configuration)
+        if substrate is not None:
+            self._engine.prepare(substrate)
         self._incremental = IncrementalCompiler(self._engine, self.cache)
         self._memo = FingerprintMemo()
         frontend = getattr(self.language, "frontend", None)

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
+
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from analysis_reference import reference_check_noncircular, reference_induced_dependencies
 
 from repro.analysis.cycles import CircularGrammarError, check_noncircular
 from repro.analysis.dependencies import (
@@ -16,8 +22,10 @@ from repro.analysis.visit_sequences import (
     VisitChildInstruction,
     build_evaluation_plan,
 )
+from repro.exprlang.grammar import expression_grammar, expression_grammar_from_spec
 from repro.grammar.builder import GrammarBuilder, Rule
 from repro.grammar.productions import AttributeRef
+from repro.pascal.grammar import pascal_grammar
 
 
 class TestDependencyGraph:
@@ -113,6 +121,63 @@ def _two_pass_grammar():
     return builder.build(start="root")
 
 
+def _attribute_less_grammar():
+    builder = GrammarBuilder("plain")
+    builder.name_terminals("ID")
+    builder.nonterminal("root", synthesized=["n"])
+    builder.nonterminal("filler")
+    builder.production("root -> filler ID", Rule("$$.n", ["$2.string"], len))
+    builder.production("filler -> ID")
+    return builder.build(start="root")
+
+
+def _circular_grammar():
+    builder = GrammarBuilder("circular")
+    builder.name_terminals("ID")
+    builder.nonterminal("root", synthesized=["out"])
+    builder.nonterminal("x", synthesized=["s"], inherited=["i"])
+    builder.production(
+        "root -> x",
+        Rule("$1.i", ["$1.s"]),
+        Rule("$$.out", ["$1.s"]),
+    )
+    builder.production(
+        "x -> ID",
+        Rule("$$.s", ["$$.i"]),
+    )
+    return builder.build(start="root")
+
+
+def _two_context_grammar():
+    """Kastens' example of a grammar no ordered evaluator accepts.
+
+    In the first context ``x``'s ``s1`` feeds its ``i2``, in the second its ``s2``
+    feeds its ``i1``; the induced dependencies of ``x`` merge both into a cycle.
+    """
+    builder = GrammarBuilder("two-context")
+    builder.name_terminals("ID")
+    builder.nonterminal("root", synthesized=["out"])
+    builder.nonterminal("x", synthesized=["s1", "s2"], inherited=["i1", "i2"])
+    builder.production(
+        "root -> x",
+        Rule("$1.i1", ["$1.s1"], len),
+        Rule("$1.i2", ["$1.s1"]),
+        Rule("$$.out", ["$1.s2"]),
+    )
+    builder.production(
+        "root -> ID x",
+        Rule("$2.i2", ["$2.s1"], len),
+        Rule("$2.i1", ["$2.s2"]),
+        Rule("$$.out", ["$2.s1"]),
+    )
+    builder.production(
+        "x -> ID",
+        Rule("$$.s1", ["$$.i1"]),
+        Rule("$$.s2", ["$$.i2"]),
+    )
+    return builder.build(start="root")
+
+
 class TestPartitions:
     def test_expression_grammar_single_visit(self, expr_grammar):
         partitions = compute_partitions(expr_grammar)
@@ -140,13 +205,7 @@ class TestPartitions:
         assert deps["code"] == {"env"}
 
     def test_attribute_less_nonterminal_gets_one_visit(self):
-        builder = GrammarBuilder("plain")
-        builder.name_terminals("ID")
-        builder.nonterminal("root", synthesized=["n"])
-        builder.nonterminal("filler")
-        builder.production("root -> filler ID", Rule("$$.n", ["$2.string"], len))
-        builder.production("filler -> ID")
-        grammar = builder.build(start="root")
+        grammar = _attribute_less_grammar()
         partitions = compute_partitions(grammar)
         assert partitions["filler"].visit_count == 1
 
@@ -161,20 +220,7 @@ class TestCircularity:
         check_noncircular(expr_grammar)  # should not raise
 
     def test_circular_grammar_rejected(self):
-        builder = GrammarBuilder("circular")
-        builder.name_terminals("ID")
-        builder.nonterminal("root", synthesized=["out"])
-        builder.nonterminal("x", synthesized=["s"], inherited=["i"])
-        builder.production(
-            "root -> x",
-            Rule("$1.i", ["$1.s"]),
-            Rule("$$.out", ["$1.s"]),
-        )
-        builder.production(
-            "x -> ID",
-            Rule("$$.s", ["$$.i"]),
-        )
-        grammar = builder.build(start="root")
+        grammar = _circular_grammar()
         with pytest.raises(CircularGrammarError):
             check_noncircular(grammar)
 
@@ -256,3 +302,150 @@ class TestVisitSequences:
         text = expr_plan.sequences[production.index].describe(production)
         assert "visit sequence" in text
         assert "eval" in text
+
+
+def _example_grammar(path: str, function: str):
+    spec = importlib.util.spec_from_file_location("_oracle_example", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return getattr(module, function)()
+
+
+_EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
+
+#: Every grammar the analysis oracle compares old and new on.
+ORACLE_GRAMMARS = {
+    "pascal": pascal_grammar,
+    "exprlang": expression_grammar,
+    "exprlang-spec": expression_grammar_from_spec,
+    "sumlang": lambda: _example_grammar(
+        os.path.join(_EXAMPLES, "register_language.py"), "sumlang_grammar"
+    ),
+    "twopass": _two_pass_grammar,
+    "plain": _attribute_less_grammar,
+    "circular": _circular_grammar,
+    "two-context": _two_context_grammar,
+}
+
+
+def _edge_sets(ids):
+    return {name: set(graph.edges()) for name, graph in ids.items()}
+
+
+def _plan_outcome(grammar, ids):
+    """Partitions and visit-sequence segments, or the error that refused them."""
+    try:
+        plan = build_evaluation_plan(grammar, ids=ids)
+    except NotOrderedError:
+        return NotOrderedError
+    partitions = {
+        name: [(visit.number, visit.inherited, visit.synthesized) for visit in partition.visits]
+        for name, partition in plan.partitions.items()
+    }
+    segments = {index: sequence.segments for index, sequence in plan.sequences.items()}
+    return partitions, segments
+
+
+def _circularity_verdict(check, grammar):
+    try:
+        check(grammar)
+    except CircularGrammarError as error:
+        return error.production_label, error.cycle
+    return None
+
+
+def _assert_matches_reference(grammar):
+    reference = reference_induced_dependencies(grammar)
+    assert _edge_sets(induced_dependencies(grammar)) == _edge_sets(reference)
+    assert _plan_outcome(grammar, None) == _plan_outcome(grammar, reference)
+    assert _circularity_verdict(check_noncircular, grammar) == _circularity_verdict(
+        reference_check_noncircular, grammar
+    )
+
+
+class TestAnalysisOracle:
+    """The bitset worklist against the set-based fixpoint it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAMMARS))
+    def test_same_ids_partitions_segments_and_verdict(self, name):
+        _assert_matches_reference(ORACLE_GRAMMARS[name]())
+
+    def test_circular_grammars_name_their_production(self):
+        for grammar, label in (
+            (_circular_grammar(), "root -> x"),
+            (_two_context_grammar(), "root -> x"),
+        ):
+            with pytest.raises(CircularGrammarError) as raised:
+                check_noncircular(grammar)
+            assert raised.value.production_label == label
+            assert raised.value.cycle
+
+    def test_check_noncircular_accepts_given_ids(self, expr_grammar):
+        ids = reference_induced_dependencies(expr_grammar)
+        assert check_noncircular(expr_grammar, ids) is ids
+
+    def test_not_ordered_grammar_still_refused(self):
+        with pytest.raises(NotOrderedError):
+            build_evaluation_plan(_two_context_grammar())
+
+
+# ------------------------------------------------------------ generated grammars
+
+#: A fixed production skeleton with left, right and mutual recursion; the strategy
+#: below draws its semantic rules.
+_SKELETON = (
+    ("S", ("A",)),
+    ("A", ("B", "A")),
+    ("A", ("ID",)),
+    ("B", ("A", "ID")),
+    ("B", ("ID", "B", "B")),
+    ("B", ("ID",)),
+)
+_ATTRIBUTES = {
+    "S": ((), ("out",)),
+    "A": (("i", "j"), ("s", "t")),
+    "B": (("i",), ("s", "t", "u")),
+}
+
+
+def _combine(*values):
+    return values
+
+
+@st.composite
+def acyclic_rule_sets(draw):
+    """A grammar over :data:`_SKELETON` whose every production graph is acyclic.
+
+    Each output occurrence of a production (an LHS synthesized or RHS inherited
+    attribute) gets one rule reading up to three occurrences drawn from the
+    production's inputs and the outputs defined before it, so DP(p) has no cycle;
+    IDS may still close one, which the circularity test then has to name.
+    """
+    builder = GrammarBuilder("generated")
+    builder.name_terminals("ID")
+    for name, (inherited, synthesized) in _ATTRIBUTES.items():
+        builder.nonterminal(name, inherited=list(inherited), synthesized=list(synthesized))
+    for lhs, rhs in _SKELETON:
+        inputs = [f"$$.{name}" for name in _ATTRIBUTES[lhs][0]]
+        outputs = [f"$$.{name}" for name in _ATTRIBUTES[lhs][1]]
+        for position, symbol in enumerate(rhs, start=1):
+            if symbol == "ID":
+                inputs.append(f"${position}.string")
+            else:
+                inputs += [f"${position}.{name}" for name in _ATTRIBUTES[symbol][1]]
+                outputs += [f"${position}.{name}" for name in _ATTRIBUTES[symbol][0]]
+        outputs = draw(st.permutations(outputs))
+        rules = []
+        for index, target in enumerate(outputs):
+            pool = inputs + list(outputs[:index])
+            arguments = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+            rules.append(Rule(target, arguments, _combine))
+        builder.production(f"{lhs} -> {' '.join(rhs)}", *rules)
+    return builder.build(start="S")
+
+
+class TestGeneratedGrammars:
+    @settings(max_examples=60, deadline=None)
+    @given(acyclic_rule_sets())
+    def test_bitset_fixpoint_matches_reference(self, grammar):
+        _assert_matches_reference(grammar)

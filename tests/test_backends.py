@@ -742,3 +742,30 @@ class TestOneShotLifecycle:
         assert digest.hexdigest() == (
             "fdf9fc11c18e43257cc17744f4bc00af2ad5423cc2a82fa7718ff336d7cfaa8b"
         )
+
+
+@requires_fork
+class TestPreparedPool:
+    """A compiler bound to a ``processes`` pool builds its evaluator code once, in the
+    driving process, and the workers forked afterwards inherit it with the bundle."""
+
+    def test_workers_forked_after_binding_inherit_bundle_and_compiled_code(self):
+        from repro.analysis import plan_compiler
+        from repro.api import Session
+        from repro.pascal.programs import generate_program
+
+        source = generate_program(procedures=6, statements_per_procedure=2)
+        with Session(backend="processes", machines=4) as session:
+            pool = session.substrate
+            pickled = []
+            ship = pool._shared_blob
+            pool._shared_blob = lambda key: pickled.append(key) or ship(key)
+            compiler = session.compiler("pascal")
+            engine = compiler.engine
+            assert engine.grammar in plan_compiler._rules_cache
+            assert plan_compiler._segments_cache[engine.grammar][0]() is engine.plan
+            result = compiler.compile(source)
+        assert result.ok and result.report.worker_count > 1
+        assert pickled == []
+        with Session(backend="threads", machines=4) as session:
+            assert session.compile("pascal", source).value == result.value
