@@ -42,7 +42,6 @@ from repro.incremental.frontend import (
     incremental_scan,
 )
 from repro.parsing.lexer import LexerError
-from repro.parsing.parser import ParseError
 from repro.strings.rope import Rope, rope
 from repro.tree.node import ParseTreeNode
 
@@ -220,6 +219,16 @@ class Document:
             tokens, spans, first_changed, old_resync, new_resync = incremental_scan(
                 lexer, self._tokens, self._spans, self._built_text, text, self._envelope
             )
+        except LexerError:
+            # A scan restarted mid-text may place its error differently; the cold
+            # scan raises it exactly as a cold compile does.
+            tokens, spans, _ = lexer.scan(text)
+            tree = parser.parse(tokens)
+            mode = "full"
+        else:
+            # The token stream equals a cold scan's, and the splice falls back to a
+            # parse of the whole stream, so a ParseError from it is the cold
+            # compile's own error: it propagates as it is.
             tree, mode = incremental_reparse(
                 self._engine.grammar,
                 parser,
@@ -229,12 +238,6 @@ class Document:
                 old_resync,
                 new_resync,
             )
-        except (LexerError, ParseError):
-            # Invalid source must surface exactly as it would on a cold compile;
-            # rebuilding from scratch also re-validates the splice machinery.
-            tokens, spans, _ = lexer.scan(text)
-            tree = parser.parse(tokens)
-            mode = "full"
         self._commit_front_end(text, tokens, spans, tree)
         return tree, mode
 

@@ -3,12 +3,12 @@
 A region's cached evaluation is reusable exactly when everything that determines its
 outputs besides its boundary inputs is unchanged:
 
-* the region's *content* — the packed pre-order encoding of its subtree (production
+* the region's *content* — the packed post-order encoding of its subtree (production
   and terminal codes plus token values), with hole subtrees excluded.  Node ids are
   deliberately left out: they are freshly numbered on every parse and carry no
   content;
 * its *wiring* — region id (which also fixes the paper's unique-identifier base),
-  parent region, and which child region sits in which hole, in pre-order;
+  parent region, and which child region sits in which hole, in tree order;
 * the *engine* — artifact format, grammar registration key, evaluator kind and the
   configuration knobs that alter evaluation or the wire protocol, plus the substrate
   and machine count (folded into one engine digest).
@@ -62,7 +62,8 @@ class FingerprintMemo:
 
 #: Bumped when older artifacts no longer decode, so an old store misses cleanly.
 #: 2: ``LeafDescriptor`` lost its ``length`` slot.
-ARTIFACT_FORMAT = 2
+#: 3: region content hashes digest post-order packed codes.
+ARTIFACT_FORMAT = 3
 
 
 def engine_digest(
@@ -125,8 +126,8 @@ def region_keys(
     fresh_hashes: Dict[MemoKey, bytes] = {}
     for region in decomposition.regions:
         holes = decomposition.holes_of(region.region_id)
-        # Hole wiring in pre-order: which child region fills each hole.  holes_of
-        # preserves child_regions order, which is the discovery (pre-order) order.
+        # Hole wiring in tree order: which child region fills each hole.  holes_of
+        # preserves child_regions order, which is the discovery (left-to-right) order.
         wiring = tuple(holes.values())
         # The memo key must pin the hole *node ids* too: a threshold shift can
         # move a hole to a different node inside a surviving root while reusing

@@ -24,12 +24,26 @@ _Sym = Tuple[bool, str]  # (is_terminal, name)
 _Item = Tuple[int, int]  # (internal production index, dot position)
 
 
+#: The ACCEPT entry of the ACTION table; a shift is the target state (> 0, since no
+#: transition leads back to the initial state) and a reduce is ``~production index``
+#: (< 0), so the parser dispatches on the sign of one int.
+ACCEPT = 0
+
+
 @dataclass(frozen=True)
 class Action:
-    """One ACTION-table entry."""
+    """A readable view of one integer ACTION entry (conflict reports use it)."""
 
     kind: str                      # "shift" | "reduce" | "accept"
     target: int = -1               # shift: next state; reduce: grammar production index
+
+    @classmethod
+    def of(cls, code: int) -> "Action":
+        if code > 0:
+            return cls("shift", code)
+        if code < 0:
+            return cls("reduce", ~code)
+        return cls("accept")
 
     def __repr__(self) -> str:
         if self.kind == "shift":
@@ -58,9 +72,13 @@ class LALRConflict:
 
 @dataclass
 class LALRTable:
-    """The generated parse table."""
+    """The generated parse table.
 
-    action: List[Dict[str, Action]]
+    ``action[state]`` maps a token kind to an integer action (see :data:`ACCEPT`);
+    ``goto[state]`` maps a nonterminal name to the next state.
+    """
+
+    action: List[Dict[str, int]]
     goto: List[Dict[str, int]]
     state_count: int
     conflicts: List[LALRConflict] = field(default_factory=list)
@@ -288,13 +306,13 @@ class _Builder:
         kernels, transitions = self.build_states()
         lookaheads = self.compute_lookaheads(kernels, transitions)
         state_count = len(kernels)
-        action: List[Dict[str, Action]] = [dict() for _ in range(state_count)]
+        action: List[Dict[str, int]] = [dict() for _ in range(state_count)]
         goto: List[Dict[str, int]] = [dict() for _ in range(state_count)]
         conflicts: List[LALRConflict] = []
 
         for (state, (is_terminal, name)), target in transitions.items():
             if is_terminal:
-                action[state][name] = Action("shift", target)
+                action[state][name] = target
             else:
                 goto[state][name] = target
 
@@ -311,17 +329,17 @@ class _Builder:
                     continue
                 if prod_index == 0:
                     if lookahead == EOF:
-                        action[state][EOF] = Action("accept")
+                        action[state][EOF] = ACCEPT
                     continue
-                reduce_action = Action("reduce", prod_index - 1)
+                reduce = ~(prod_index - 1)
                 existing = action[state].get(lookahead)
                 if existing is None:
-                    action[state][lookahead] = reduce_action
+                    action[state][lookahead] = reduce
                     continue
-                if existing == reduce_action or existing.kind == "accept":
+                if existing == reduce or existing == ACCEPT:
                     continue
                 resolved, conflict = self._resolve_conflict(
-                    state, lookahead, existing, reduce_action, prod_index
+                    state, lookahead, existing, reduce, prod_index
                 )
                 action[state][lookahead] = resolved
                 if conflict is not None:
@@ -333,37 +351,35 @@ class _Builder:
         self,
         state: int,
         token: str,
-        existing: Action,
-        reduce_action: Action,
+        existing: int,
+        reduce: int,
         internal_index: int,
-    ) -> Tuple[Action, Optional[LALRConflict]]:
-        if existing.kind == "shift":
+    ) -> Tuple[int, Optional[LALRConflict]]:
+        def conflict(kind: str, chosen: int, rejected: int) -> LALRConflict:
+            return LALRConflict(state, token, kind, Action.of(chosen), Action.of(rejected))
+
+        if existing > 0:  # shift
             token_precedence = self._precedence.get(token)
             production_precedence = self.production_precedence(internal_index)
             if token_precedence and production_precedence:
                 if production_precedence[0] > token_precedence[0]:
-                    return reduce_action, None
+                    return reduce, None
                 if production_precedence[0] < token_precedence[0]:
                     return existing, None
                 assoc = token_precedence[1]
                 if assoc == "left":
-                    return reduce_action, None
+                    return reduce, None
                 if assoc == "right":
                     return existing, None
                 # nonassoc: neither action is legal; keep the shift but flag it.
-                return existing, LALRConflict(
-                    state, token, "shift/reduce", existing, reduce_action
-                )
+                return existing, conflict("shift/reduce", existing, reduce)
             # YACC default: prefer shift.
-            return existing, LALRConflict(
-                state, token, "shift/reduce", existing, reduce_action
-            )
-        # reduce/reduce: prefer the earlier production (YACC default).
-        if existing.kind == "reduce" and existing.target <= reduce_action.target:
-            chosen, rejected = existing, reduce_action
-        else:
-            chosen, rejected = reduce_action, existing
-        return chosen, LALRConflict(state, token, "reduce/reduce", chosen, rejected)
+            return existing, conflict("shift/reduce", existing, reduce)
+        # reduce/reduce: prefer the earlier production (YACC default); ``~`` reverses
+        # the order of production indices.
+        if existing >= reduce:
+            return existing, conflict("reduce/reduce", existing, reduce)
+        return reduce, conflict("reduce/reduce", reduce, existing)
 
 
 def build_lalr_table(grammar: AttributeGrammar, start: Optional[str] = None) -> LALRTable:

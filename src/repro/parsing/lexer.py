@@ -3,7 +3,7 @@
 A lexer is described by an ordered list of :class:`TokenSpec` regular-expression rules
 plus an optional keyword table (identifiers whose text matches a keyword are re-tagged
 with the keyword's token kind, the usual trick for Pascal-like languages).  The
-generated :class:`Lexer` produces :class:`Token` objects with line/column positions and
+generated :class:`Lexer` produces :class:`Token` records with line/column positions and
 raises :class:`LexerError` on unrecognisable input.
 """
 
@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 
 class LexerError(Exception):
@@ -23,17 +24,28 @@ class LexerError(Exception):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
-    """One scanned token."""
+class Token(tuple):
+    """One scanned token: ``(kind, text, line, column)``.
 
-    kind: str
-    text: str
-    line: int
-    column: int
+    A slotted tuple, so the scanner builds one with a single C call; two tokens are
+    equal, and hash alike, exactly when their four fields are.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, text: str, line: int, column: int) -> "Token":
+        return tuple.__new__(cls, (kind, text, line, column))
+
+    def __getnewargs__(self) -> Tuple[str, str, int, int]:
+        return tuple(self)
+
+    kind = property(itemgetter(0))
+    text = property(itemgetter(1))
+    line = property(itemgetter(2))
+    column = property(itemgetter(3))
 
     def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.text!r}, {self.line}:{self.column})"
+        return f"Token({self[0]}, {self[1]!r}, {self[2]}:{self[3]})"
 
 
 @dataclass(frozen=True)
@@ -56,12 +68,19 @@ class Lexer:
     Rules are tried in order at each position; the first match wins (so keywords given
     as literal rules must precede a generic identifier rule, or use ``keywords``).
 
-    All rules are additionally compiled into one alternation regex, so the common case
-    is a *single-pass* scan: one C-level ``match`` per token instead of one Python
-    loop iteration per rule per position.  Alternation order equals rule order, which
-    preserves first-match-wins semantics; the only case the combined pattern cannot
-    express — a rule matching the empty string, which the per-rule loop skips in
-    favour of later rules — falls back to the original loop at that position.
+    All rules compile into one pattern, so a token costs one C-level ``match``:
+
+    * the skip rules that come before every token rule (whitespace, comments) fold
+      into a prefix ``(?=((?:skip1|skip2|...)*))\\1`` — a lookahead is atomic, so a
+      token that then fails does not backtrack into the skipped text (which would let
+      a token rule match inside a comment);
+    * every other rule is one outer group of an alternation in rule order, which keeps
+      first-match-wins; a later skip rule wins its group and is dropped.
+
+    A skip rule that can match the empty string is not folded (the prefix's star
+    would stop at its empty match).  Where a rule matches the empty string at a
+    position, the rules are tried one by one there and an empty match moves on to the
+    next rule, as it always has.
     """
 
     def __init__(
@@ -72,44 +91,36 @@ class Lexer:
     ):
         if not specs:
             raise ValueError("a lexer needs at least one token rule")
-        self._specs = list(specs)
-        self._compiled = [(spec, re.compile(spec.pattern)) for spec in self._specs]
+        self._compiled = [(spec, re.compile(spec.pattern)) for spec in specs]
         self._keywords = dict(keywords or {})
         self._keyword_source = keyword_source
-        self._combined: Optional[re.Pattern] = None
-        self._spec_by_group: List[Optional[TokenSpec]] = []
-        self._compile_combined()
-
-    def _compile_combined(self) -> None:
-        """Build the single-pass alternation ``(rule1)|(rule2)|...``.
-
-        Each rule becomes one outer capturing group; rules may contain their own
-        groups, so the winning rule is identified by mapping ``match.lastindex``
-        (the highest group number that matched) back to the enclosing outer group.
-        Rules whose pattern does not compose (e.g. inline flags) disable the
-        combined scan and the per-rule loop handles everything, exactly as before.
-        """
-        pieces = []
-        spec_by_group: List[Optional[TokenSpec]] = [None]  # group numbers are 1-based
-        for spec, compiled in self._compiled:
+        for spec, _ in self._compiled:
+            # Composition renumbers groups, which would retarget ``\N``.
             if re.search(r"\\\d", spec.pattern):
-                return  # numeric backreferences would renumber under composition
+                raise ValueError(f"token rule {spec.name!r} uses a numbered back-reference")
+        folded: List[str] = []
+        for spec, compiled in self._compiled:
+            if not spec.skip or compiled.match("") is not None:
+                break
+            folded.append(spec.pattern)
+        self._skip = re.compile("(?:%s)*" % "|".join(folded)) if folded else None
+        # Group 1 is the skipped text; each remaining rule is an outer group, and its
+        # inner groups map to it too, so ``match.lastindex`` names the winning rule.
+        pieces: List[str] = []
+        #: Per group number: the token kind, ``None`` for a dropped skip rule.
+        kinds: List[Optional[str]] = [None, None]
+        for spec, compiled in self._compiled[len(folded):]:
             pieces.append(f"({spec.pattern})")
-            # The outer group and every inner group of this rule map back to it, so
-            # ``match.lastindex`` resolves the winning rule in one list index.
-            spec_by_group.extend([spec] * (1 + compiled.groups))
-        try:
-            combined = re.compile("|".join(pieces))
-        except re.error:
-            return
-        if combined.groups != len(spec_by_group) - 1:
-            return  # a pattern's group count changed under composition; stay safe
-        self._combined = combined
-        self._spec_by_group = spec_by_group
+            kinds.extend([None if spec.skip else spec.name] * (1 + compiled.groups))
+        prefix = f"(?=({self._skip.pattern}))\\1" if folded else "()"
+        self._pattern = re.compile(prefix + "(?:" + "|".join(pieces) + ")")
+        if self._pattern.groups != len(kinds) - 1:
+            raise ValueError("a token rule changes its group count when combined")
+        self._kinds = kinds
 
     def tokenize(self, text: str) -> List[Token]:
         """Scan the whole input and return the token list (no EOF token appended)."""
-        return list(self.iter_tokens(text))
+        return self._run(text, 0, 1, 0)[0]
 
     def scan(
         self,
@@ -133,17 +144,35 @@ class Lexer:
         ``resync_min`` lands exactly on an offset in ``resync_offsets``, scanning
         stops there and ``stopped_at`` is that offset (``None`` when the scan ran to
         the end of the text).
-
-        Kept separate from :meth:`iter_tokens` on purpose: the plain scan is the
-        compiler's hot path and must not pay for span bookkeeping.
         """
-        tokens: List[Token] = []
-        spans: List[tuple] = []
-        anchor = position
-        length = len(text)
-        combined = self._combined
+        spans: List[Tuple[int, int, int]] = []
+        tokens, stopped = self._run(
+            text, position, line, line_start, spans, resync_offsets, resync_min
+        )
+        return tokens, spans, stopped
+
+    def _run(
+        self,
+        text: str,
+        position: int,
+        line: int,
+        line_start: int,
+        spans: Optional[List[Tuple[int, int, int]]] = None,
+        resync_offsets: Optional[Set[int]] = None,
+        resync_min: int = 0,
+    ) -> Tuple[List[Token], Optional[int]]:
+        new_token = tuple.__new__
+        match = self._pattern.match
+        kinds = self._kinds
         keywords = self._keywords
         keyword_source = self._keyword_source
+        count = text.count
+        tokens: List[Token] = []
+        append = tokens.append
+        length = len(text)
+        # Newlines before ``counted`` are in ``line``/``line_start`` already.
+        counted = position
+        anchor = position
         while position < length:
             if (
                 resync_offsets is not None
@@ -151,105 +180,58 @@ class Lexer:
                 and position >= resync_min
                 and position in resync_offsets
             ):
-                return tokens, spans, position
-            if combined is not None:
-                match = combined.match(text, position)
-                if match is not None and match.end() > position:
-                    lexeme = match.group(0)
-                    spec = self._spec_by_group[match.lastindex or 1]
-                    if not spec.skip:
-                        kind = spec.name
-                        if kind == keyword_source and lexeme.lower() in keywords:
-                            kind = keywords[lexeme.lower()]
-                        tokens.append(
-                            Token(kind, lexeme, line, position - line_start + 1)
-                        )
-                        spans.append((anchor, position, match.end()))
-                        anchor = match.end()
-                    newlines = lexeme.count("\n")
-                    if newlines:
-                        line += newlines
-                        line_start = position + lexeme.rfind("\n") + 1
-                    position = match.end()
-                    continue
-                if match is None:
-                    column = position - line_start + 1
-                    raise LexerError(
-                        f"unexpected character {text[position]!r}", line, column
-                    )
-            for spec, pattern in self._compiled:
-                match = pattern.match(text, position)
-                if match is None or match.end() == position:
-                    continue
-                lexeme = match.group(0)
-                column = position - line_start + 1
-                if not spec.skip:
-                    kind = spec.name
-                    if kind == self._keyword_source and lexeme.lower() in self._keywords:
-                        kind = self._keywords[lexeme.lower()]
-                    tokens.append(Token(kind, lexeme, line, column))
-                    spans.append((anchor, position, match.end()))
-                    anchor = match.end()
-                newlines = lexeme.count("\n")
-                if newlines:
-                    line += newlines
-                    line_start = position + lexeme.rfind("\n") + 1
-                position = match.end()
-                break
+                return tokens, position
+            found = match(text, position)
+            if found is None:
+                self._fail(text, position, line, line_start, counted)
+                break  # only skipped text was left
+            start, end = found.span(found.lastindex)
+            if start == end:
+                start, end, kind = self._rule_by_rule(text, found.end(1))
             else:
-                column = position - line_start + 1
-                raise LexerError(f"unexpected character {text[position]!r}", line, column)
-        return tokens, spans, None
+                kind = kinds[found.lastindex]
+            if kind is None:  # a skip rule after the first token rule
+                position = end
+                continue
+            newlines = count("\n", counted, start)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", counted, start) + 1
+            counted = start
+            if kind == keyword_source:
+                kind = keywords.get(text[start:end].lower(), kind)
+            append(new_token(Token, (kind, text[start:end], line, start - line_start + 1)))
+            if spans is not None:
+                spans.append((anchor, start, end))
+            anchor = position = end
+        return tokens, None
 
-    def iter_tokens(self, text: str) -> Iterator[Token]:
-        position = 0
-        line = 1
-        line_start = 0
-        length = len(text)
-        combined = self._combined
-        keywords = self._keywords
-        keyword_source = self._keyword_source
-        while position < length:
-            if combined is not None:
-                match = combined.match(text, position)
-                if match is not None and match.end() > position:
-                    lexeme = match.group(0)
-                    spec = self._spec_by_group[match.lastindex or 1]
-                    if not spec.skip:
-                        kind = spec.name
-                        if kind == keyword_source and lexeme.lower() in keywords:
-                            kind = keywords[lexeme.lower()]
-                        yield Token(kind, lexeme, line, position - line_start + 1)
-                    newlines = lexeme.count("\n")
-                    if newlines:
-                        line += newlines
-                        line_start = position + lexeme.rfind("\n") + 1
-                    position = match.end()
-                    continue
-                if match is None:
-                    column = position - line_start + 1
-                    raise LexerError(
-                        f"unexpected character {text[position]!r}", line, column
-                    )
-                # Zero-width combined match: only the per-rule loop can express
-                # "skip this rule and try the next one at the same position".
-            for spec, pattern in self._compiled:
-                match = pattern.match(text, position)
-                if match is None or match.end() == position:
-                    continue
-                lexeme = match.group(0)
-                column = position - line_start + 1
-                if not spec.skip:
-                    kind = spec.name
-                    if kind == self._keyword_source and lexeme.lower() in self._keywords:
-                        kind = self._keywords[lexeme.lower()]
-                    yield Token(kind, lexeme, line, column)
-                newlines = lexeme.count("\n")
-                if newlines:
-                    line += newlines
-                    line_start = position + lexeme.rfind("\n") + 1
-                position = match.end()
-                break
-            else:
-                column = position - line_start + 1
-                raise LexerError(f"unexpected character {text[position]!r}", line, column)
+    def _rule_by_rule(self, text: str, position: int) -> Tuple[int, int, Optional[str]]:
+        """The first rule with a non-empty match at ``position`` (an empty one is
+        passed over); ``(start, end, kind)`` with ``kind`` ``None`` for a skip rule."""
+        for spec, pattern in self._compiled:
+            found = pattern.match(text, position)
+            if found is not None and found.end() > position:
+                return position, found.end(), None if spec.skip else spec.name
+        raise self._error(text, position, text.count("\n", 0, position) + 1,
+                          text.rfind("\n", 0, position) + 1)
+
+    def _fail(self, text, position, line, line_start, counted) -> None:
+        """Raise the error for a failed match at ``position`` — at the first
+        character the folded skip rules do not consume — unless they consume the
+        rest of the text."""
+        if self._skip is not None:
+            position = self._skip.match(text, position).end()
+        newlines = text.count("\n", counted, position)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", counted, position) + 1
+        if position == len(text):  # only skipped text was left
+            return
+        raise self._error(text, position, line, line_start)
+
+    @staticmethod
+    def _error(text: str, position: int, line: int, line_start: int) -> LexerError:
+        return LexerError(
+            f"unexpected character {text[position]!r}", line, position - line_start + 1
+        )

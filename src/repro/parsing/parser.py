@@ -1,19 +1,26 @@
 """The LALR(1) parse-table driver.
 
-Builds :class:`repro.tree.node.ParseTreeNode` trees whose interior nodes reference the
-grammar's :class:`~repro.grammar.productions.Production` objects, so the resulting tree
-can be handed directly to any of the attribute evaluators.
+Parsing is two passes over flat data.  :meth:`Parser.recognise` runs the LR automaton
+over the token stream on integer actions and, instead of building nodes, appends one
+code per node in post-order — a terminal's code as it is shifted, a production's as it
+is reduced — plus each shifted token's text.  Those are exactly the records of a packed
+tree (:class:`repro.tree.linearize.PackedTree`), so the one stack machine that
+rebuilds shipped regions, :func:`repro.tree.linearize.build`, turns them into
+:class:`repro.tree.node.ParseTreeNode` trees whose interior nodes reference the
+grammar's :class:`~repro.grammar.productions.Production` objects, ready for any of the
+attribute evaluators.  :meth:`Parser.parse` is ``build(recognise(tokens))``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple
 
 from repro.grammar.grammar import AttributeGrammar
-from repro.grammar.symbols import Terminal
-from repro.parsing.lalr import EOF, Action, LALRTable, build_lalr_table
+from repro.parsing.lalr import EOF, LALRTable, build_lalr_table
 from repro.parsing.lexer import Token
-from repro.tree.node import ParseTreeNode, make_node, make_terminal
+from repro.tree.linearize import build, codec_for
+from repro.tree.node import ParseTreeNode
 
 
 class ParseError(Exception):
@@ -37,7 +44,9 @@ class Parser:
     """LALR(1) parser for an attribute grammar's context-free backbone.
 
     The table is built once per parser instance; reuse the parser across compilations
-    (the paper's generator likewise builds the parser once from the grammar).
+    (the paper's generator likewise builds the parser once from the grammar).  A
+    parser over a given ``table`` (a subtree table of the incremental front end) builds
+    nothing: the table's actions are integers already.
     """
 
     def __init__(self, grammar: AttributeGrammar, table: Optional[LALRTable] = None):
@@ -46,58 +55,50 @@ class Parser:
 
     def parse(self, tokens: Sequence[Token]) -> ParseTreeNode:
         """Parse a token stream (no EOF token required) into a parse tree."""
+        codes, values = self.recognise(tokens)
+        return build(self.grammar, codes, values)[0]
+
+    def recognise(self, tokens: Sequence[Token]) -> Tuple[List[int], List[str]]:
+        """Run the automaton over ``tokens``; return the tree's post-order codes
+        and its token values, or raise :class:`ParseError`."""
         action_table = self.table.action
         goto_table = self.table.goto
-        state_stack: List[int] = [0]
-        node_stack: List[ParseTreeNode] = []
-
-        stream = list(tokens) + [Token(EOF, "", _end_line(tokens), 0)]
-        position = 0
-        while True:
-            state = state_stack[-1]
-            token = stream[position]
-            entry = action_table[state].get(token.kind)
-            if entry is None:
-                raise ParseError(
-                    f"unexpected token {token.kind!r} ({token.text!r})",
-                    token,
-                    expected=list(action_table[state]),
-                )
-            if entry.kind == "shift":
-                terminal = self._terminal(token.kind)
-                node_stack.append(make_terminal(terminal, token.text))
-                state_stack.append(entry.target)
-                position += 1
-                continue
-            if entry.kind == "reduce":
-                production = self.grammar.productions[entry.target]
-                arity = len(production.rhs)
-                children = node_stack[len(node_stack) - arity :] if arity else ()
-                del node_stack[len(node_stack) - arity :]
-                del state_stack[len(state_stack) - arity :]
-                node = make_node(production, children)
-                node_stack.append(node)
-                goto_state = goto_table[state_stack[-1]].get(production.lhs.name)
-                if goto_state is None:
+        codec = codec_for(self.grammar)
+        terminal_code = codec.terminal_code
+        arity = codec.production_arity
+        lhs_name = codec.production_lhs_name
+        if not isinstance(tokens, (list, tuple)):
+            tokens = list(tokens)
+        codes: List[int] = []
+        values: List[str] = []
+        emit = codes.append
+        keep = values.append
+        states = [0]
+        state = 0
+        end = Token(EOF, "", tokens[-1].line if tokens else 1, 0)
+        for token in chain(tokens, (end,)):
+            kind = token[0]
+            while True:
+                action = action_table[state].get(kind)
+                if action is None:
                     raise ParseError(
-                        f"internal parser error: no GOTO for {production.lhs.name!r}",
+                        f"unexpected token {kind!r} ({token[1]!r})",
                         token,
+                        expected=list(action_table[state]),
                     )
-                state_stack.append(goto_state)
-                continue
-            # accept
-            if len(node_stack) != 1:
-                raise ParseError("internal parser error: accept with non-unit stack")
-            return node_stack[0]
-
-    def _terminal(self, name: str) -> Terminal:
-        terminal = self.grammar.terminals.get(name)
-        if terminal is None:
-            raise ParseError(f"token kind {name!r} is not a grammar terminal")
-        return terminal
-
-
-def _end_line(tokens: Sequence[Token]) -> int:
-    if not tokens:
-        return 1
-    return tokens[-1].line
+                if action > 0:  # shift
+                    emit(terminal_code[kind])
+                    keep(token[1])
+                    states.append(action)
+                    state = action
+                    break
+                if action == 0:  # accept
+                    return codes, values
+                production = ~action
+                count = arity[production]
+                if count:
+                    del states[-count:]
+                state = goto_table[states[-1]][lhs_name[production]]
+                states.append(state)
+                emit(production << 2)  # a production record's tag is 0
+        raise ParseError("internal parser error: input ended without accept")

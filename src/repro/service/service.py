@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -314,6 +315,8 @@ class CompilationService:
         self._queued = 0
         self._rejected = 0
         self._deadline_misses = 0
+        #: Engines already bound to the substrate (:meth:`_bind`).
+        self._bound: "weakref.WeakSet[ParallelCompiler]" = weakref.WeakSet()
         self._owns_cache = False
         if artifact_cache is True or (
             store is not None and (artifact_cache is False or artifact_cache is None)
@@ -543,6 +546,16 @@ class CompilationService:
 
     # ---------------------------------------------------------------- internals
 
+    def _bind(self, engine: ParallelCompiler) -> None:
+        """Bind ``engine`` to the substrate before its first job here, so a
+        ``processes`` pool's workers forked from now on inherit its evaluator code
+        and grammar bundle instead of building and receiving them."""
+        with self._lock:
+            if engine in self._bound:
+                return
+            self._bound.add(engine)
+        engine.prepare(self._substrate)
+
     def _execute(
         self,
         job: CompilationJob,
@@ -562,6 +575,7 @@ class CompilationService:
                     cancel_token.check(f"job {job.label!r}")
                 engine, tree = job.resolve()
                 parsed = time.perf_counter()
+                self._bind(engine)
                 if deadline is not None:
                     # The parse phase may have consumed budget; re-check before the
                     # expensive compile, and hand the substrate only what remains.

@@ -15,7 +15,9 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.grammar.productions import AttributeRef, Production
 from repro.grammar.symbols import Nonterminal, Symbol, Terminal
 
-_node_counter = itertools.count(1)
+#: Process-wide node ids (:func:`repro.tree.linearize.build` draws them too, as it
+#: constructs nodes without this module's validating constructor).
+node_ids = itertools.count(1)
 
 
 #: The one children tuple every leaf shares.
@@ -70,6 +72,10 @@ class ParseTreeNode:
 
     Callers that need a node's parent get it from their own descent
     (:meth:`walk_with_parent`).
+
+    Parsed and unpacked trees are built by :func:`repro.tree.linearize.build`, which
+    sets these slots directly, with the same child check and summaries, instead of
+    calling this constructor: a slot added here must be set there too.
     """
 
     __slots__ = (
@@ -92,7 +98,7 @@ class ParseTreeNode:
         children: Optional[Sequence["ParseTreeNode"]] = None,
         token_value: Any = None,
     ):
-        self.node_id = next(_node_counter)
+        self.node_id = next(node_ids)
         self.symbol = symbol
         self.production = production
         self.token_value = token_value

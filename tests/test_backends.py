@@ -769,3 +769,31 @@ class TestPreparedPool:
         assert pickled == []
         with Session(backend="threads", machines=4) as session:
             assert session.compile("pascal", source).value == result.value
+
+    def test_service_binds_each_engine_before_its_first_job(self, monkeypatch):
+        """The evaluator code is built in the driving process, where every worker
+        forked for the job inherits it, and no bundle is pickled."""
+        import weakref
+
+        from repro.analysis import plan_compiler
+        from repro.pascal.programs import generate_program
+        from repro.service import CompilationJob, CompilationService
+
+        # Empty caches, so that only a build in this process can fill them.
+        monkeypatch.setattr(plan_compiler, "_rules_cache", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(plan_compiler, "_segments_cache", weakref.WeakKeyDictionary())
+        source = generate_program(procedures=6, statements_per_procedure=2)
+        job = CompilationJob(language="pascal", source=source, machines=4)
+        with CompilationService("processes") as service:
+            pool = service.substrate
+            pickled = []
+            ship = pool._shared_blob
+            pool._shared_blob = lambda key: pickled.append(key) or ship(key)
+            report = service.submit(job).result()
+        assert report.worker_count > 1
+        assert pickled == []
+        assert len(plan_compiler._rules_cache) == 1
+        assert len(plan_compiler._segments_cache) == 1
+        with CompilationService("threads") as service:
+            reference = service.submit(job).result()
+        assert report.code_text("code") == reference.code_text("code")

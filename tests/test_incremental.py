@@ -656,26 +656,25 @@ class TestEarlyCutoff:
 
 
 class TestOldStores:
-    def test_store_of_an_older_artifact_format_misses_cleanly(
-        self, tmp_path, monkeypatch, chain_source
-    ):
-        """Artifacts written by older code may not decode (their wire values had
-        another shape): the format tag in the engine digest keeps them unread."""
+    def _misses_cleanly(self, tmp_path, monkeypatch, source, **older):
+        """Write a store with the module attributes ``older`` patched into
+        ``fingerprint``, then build again: every old key misses and stays unread."""
         store = str(tmp_path / "store")
 
         def build():
             with Session(backend="simulated", machines=CHAIN_MACHINES, store=store) as session:
-                document = session.open("pascal", chain_source, machines=CHAIN_MACHINES)
+                document = session.open("pascal", source, machines=CHAIN_MACHINES)
                 return document.recompile(), session.artifact_cache.store_hits
 
         with monkeypatch.context() as patch:
-            patch.setattr(fingerprint, "ARTIFACT_FORMAT", fingerprint.ARTIFACT_FORMAT - 1)
+            for name, value in older.items():
+                patch.setattr(fingerprint, name, value)
             build()
         old_keys = set(ArtifactStore(store).keys(REGION_NAMESPACE))
         assert len(old_keys) == 3  # every non-root region
 
         result, store_hits = build()
-        reference = Compiler("pascal", machines=CHAIN_MACHINES).compile(chain_source)
+        reference = Compiler("pascal", machines=CHAIN_MACHINES).compile(source)
         assert store_hits == 0
         assert result.incremental.content_misses == 3
         assert result.incremental.regions_reused == 0
@@ -683,6 +682,28 @@ class TestOldStores:
         assert result.errors == reference.errors
         # Never read, so never decoded, quarantined or deleted.
         assert old_keys < set(ArtifactStore(store).keys(REGION_NAMESPACE))
+
+    def test_store_of_an_older_artifact_format_misses_cleanly(
+        self, tmp_path, monkeypatch, chain_source
+    ):
+        """Artifacts written by older code may not decode (their wire values had
+        another shape): the format tag in the engine digest keeps them unread."""
+        self._misses_cleanly(
+            tmp_path, monkeypatch, chain_source,
+            ARTIFACT_FORMAT=fingerprint.ARTIFACT_FORMAT - 1,
+        )
+
+    def test_store_of_pre_order_content_hashes_misses_cleanly(
+        self, tmp_path, monkeypatch, chain_source
+    ):
+        """A format-2 store keyed its regions by pre-order packed codes; format 3
+        digests post-order ones, and reads none of the old keys."""
+        from parsing_reference import reference_pack
+
+        assert fingerprint.ARTIFACT_FORMAT == 3
+        self._misses_cleanly(
+            tmp_path, monkeypatch, chain_source, ARTIFACT_FORMAT=2, pack=reference_pack
+        )
 
 
 # ------------------------------------------------------------------- documents
@@ -710,6 +731,64 @@ class TestDocument:
             document.edit(0, 7, "program")
             result = document.recompile()
             assert result.ok
+
+    @pytest.mark.parametrize(
+        "language, pattern, replacement",
+        [
+            ("pascal", r":= (\d+);", "("),  # an open parenthesis before a literal
+            ("pascal", r"\b(begin)\b", "bgin"),  # a misspelt keyword
+            ("exprlang", r"\b(ni)\b", "in"),  # a let that never closes
+            ("exprlang", r"(\+)", "+ *"),  # an operator without its operand
+        ],
+    )
+    def test_unparsable_edit_parses_the_whole_text_once(
+        self, monkeypatch, language, pattern, replacement
+    ):
+        """The splice's last fallback parses the whole token stream; its ParseError
+        is the one a cold compile raises, so nothing parses the text again."""
+        from repro.exprlang import random_expression_source
+        from repro.parsing.parser import ParseError, Parser
+
+        if language == "pascal":
+            text = generate_program(procedures=6, statements_per_procedure=2, seed=5)
+        else:
+            text = random_expression_source(120, seed=4, nesting=5)
+        match = list(re.finditer(pattern, text))[-1]
+        if replacement == "(":
+            edit = (match.start(1), match.start(1), "(")
+        else:
+            edit = (match.start(1), match.end(1), replacement)
+        edited = text[: edit[0]] + edit[2] + text[edit[1] :]
+        with pytest.raises(ParseError) as cold:
+            Compiler(language, machines=4).compile(edited)
+
+        lexer, full_parser = get_language(language).frontend()
+        full_stream = len(lexer.tokenize(edited))
+        parsed = []  # token counts of the parses over the whole grammar's table
+        parse = Parser.parse
+
+        def counting(parser, tokens):
+            if parser.table is full_parser.table:
+                parsed.append(len(tokens))
+            return parse(parser, tokens)
+
+        with Session(backend="simulated", machines=4) as session:
+            document = session.open(language, text, machines=4)
+            document.recompile()
+            document.edit(*edit)
+            monkeypatch.setattr(Parser, "parse", counting)
+            with pytest.raises(ParseError) as warm:
+                document.recompile()
+            monkeypatch.undo()
+        assert parsed == [full_stream]
+        assert type(warm.value) is type(cold.value)
+        assert str(warm.value) == str(cold.value)
+        assert warm.value.token == cold.value.token
+        assert (warm.value.token.line, warm.value.token.column) == (
+            cold.value.token.line,
+            cold.value.token.column,
+        )
+        assert warm.value.expected == cold.value.expected
 
     def test_exprlang_document_incremental(self):
         rng = random.Random(3)

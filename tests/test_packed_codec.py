@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from array import array
 import random
 
 import pytest
@@ -232,8 +233,6 @@ class TestCorruptPackedTrees:
             if node is not tree and node.symbol.is_nonterminal and node.symbol.splittable
         ]
         packed = pack(grammar, tree, {candidates[0].node_id: 1})
-        from array import array
-
         broken = PackedTree(packed.codes, packed.values, array("q"), packed.root_symbol, 0)
         with pytest.raises(ValueError, match="missing hole metadata"):
             unpack(grammar, broken)
@@ -256,3 +255,110 @@ class TestCorruptPackedTrees:
         tiny = b.build(validate=False)
         with pytest.raises(ValueError):
             unpack(tiny, packed)
+
+
+class TestHostilePostOrderStreams:
+    """The post-order decoder rejects every malformed stream with a ValueError."""
+
+    def _packed(self, source="let x = 3 in 1 + 2 * x ni", holes=False):
+        grammar = expression_grammar(min_split_size=1)
+        tree = parse_expression(source, grammar)
+        detached = {}
+        if holes:
+            node = next(
+                node
+                for node in tree.walk()
+                if node is not tree
+                and node.symbol.is_nonterminal
+                and node.symbol.splittable
+            )
+            detached = {node.node_id: 1}
+        return grammar, tree, pack(grammar, tree, detached)
+
+    def _rebuilt(self, packed, codes=None, values=None, hole_meta=None, size=None):
+        return PackedTree(
+            packed.codes if codes is None else codes,
+            packed.values if values is None else values,
+            packed.hole_meta if hole_meta is None else hole_meta,
+            packed.root_symbol,
+            packed.size_bytes() if size is None else size,
+        )
+
+    def test_records_are_post_order(self):
+        grammar, tree, packed = self._packed()
+        assert packed.codes[-1] >> 2 == tree.production.index
+        assert packed.codes[0] & 3 == 1  # the first leaf comes first
+        assert packed.values == [leaf.token_value for leaf in tree.leaves()]
+
+    def test_hole_index_out_of_range(self):
+        grammar, _, packed = self._packed(holes=True)
+        codes = packed.codes[:]
+        position = next(i for i, code in enumerate(codes) if code & 3 == 2)
+        codes[position] = ((len(grammar.nonterminals) + 5) << 2) | 2
+        with pytest.raises(ValueError, match="hole index .* out of range"):
+            unpack(grammar, self._rebuilt(packed, codes=codes))
+
+    def test_half_a_hole_record_is_missing_metadata(self):
+        grammar, _, packed = self._packed(holes=True)
+        with pytest.raises(ValueError, match="missing hole metadata"):
+            unpack(grammar, self._rebuilt(packed, hole_meta=packed.hole_meta[:1]))
+
+    def test_unknown_tag(self):
+        grammar, _, packed = self._packed()
+        codes = packed.codes[:]
+        codes[0] |= 3
+        with pytest.raises(ValueError, match="unknown packed record tag"):
+            unpack(grammar, self._rebuilt(packed, codes=codes))
+
+    def test_truncated_to_a_whole_subtree(self):
+        """A prefix of a post-order stream can be a whole tree of the root's own
+        symbol; the sender's size tells it apart."""
+        grammar, tree, _ = self._packed("1 + 2")
+        expression = tree.children[0]
+        assert expression.children[0].symbol is expression.symbol
+        packed = pack(grammar, expression)
+        first = expression.children[0]
+        truncated = self._rebuilt(
+            packed,
+            codes=packed.codes[: first.node_count],
+            values=packed.values[: first.token_count],
+        )
+        with pytest.raises(ValueError, match="truncated"):
+            unpack(grammar, truncated)
+
+    def test_truncated_mid_production(self):
+        grammar, _, packed = self._packed()
+        for cut in range(1, len(packed.codes)):
+            codes = packed.codes[:cut]
+            values = packed.values[: sum(1 for code in codes if code & 3 == 1)]
+            with pytest.raises(ValueError):
+                unpack(grammar, self._rebuilt(packed, codes=codes, values=values))
+
+    def test_trailing_records(self):
+        grammar, _, packed = self._packed()
+        codes = packed.codes[:]
+        codes.append(packed.codes[0])
+        with pytest.raises(ValueError, match="trailing records"):
+            unpack(
+                grammar, self._rebuilt(packed, codes=codes, values=packed.values + ["1"])
+            )
+
+    def test_trailing_token_values(self):
+        grammar, _, packed = self._packed()
+        with pytest.raises(ValueError, match="trailing token values"):
+            unpack(grammar, self._rebuilt(packed, values=packed.values + ["1"]))
+
+    def test_child_symbol_not_on_the_right_hand_side(self):
+        grammar, _, packed = self._packed("1 + 2")
+        codes = list(packed.codes)
+        # [NUMBER, expr -> NUMBER, +, ...]: hand the unit production the "+" leaf.
+        codes[1], codes[2] = codes[2], codes[1]
+        broken = self._rebuilt(packed, codes=array("i", codes))
+        with pytest.raises(ValueError, match="does not match expected symbol"):
+            unpack(grammar, broken)
+
+    def test_production_without_enough_children(self):
+        grammar, _, packed = self._packed("1 + 2")
+        codes = array("i", [packed.codes[-1]])
+        with pytest.raises(ValueError, match="truncated"):
+            unpack(grammar, self._rebuilt(packed, codes=codes, values=[]))

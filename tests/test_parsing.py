@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.grammar.builder import GrammarBuilder, Rule
-from repro.parsing.lalr import EOF, build_lalr_table
+from repro.parsing.lalr import EOF, Action, build_lalr_table
 from repro.parsing.lexer import Lexer, LexerError, Token, TokenSpec
 from repro.parsing.parser import ParseError, Parser
 from repro.exprlang.frontend import parse_expression, tokenize_expression
@@ -44,6 +44,49 @@ class TestLexer:
         with pytest.raises(ValueError):
             Lexer([])
 
+    @pytest.mark.parametrize(
+        "specs, text",
+        [
+            # A skip rule that can match nothing is not folded into the skip prefix.
+            ([TokenSpec("ws", r"\s*", skip=True), TokenSpec("c", r"#[^\n]*", skip=True),
+              TokenSpec("A", r"a")], "a # c\n a"),
+            # A skip rule after a token rule is matched in rule order and dropped.
+            ([TokenSpec("A", r"a"), TokenSpec("ws", r"\s+", skip=True)], "a  a\na ?"),
+            # A token rule that matches nothing here passes to the next rule.
+            ([TokenSpec("ws", r"\s+", skip=True), TokenSpec("E", r"b*"),
+              TokenSpec("A", r"a")], "ab a\n bb ?"),
+            # A failed token does not backtrack into the skipped comment.
+            ([TokenSpec("c", r"\(\*[\s\S]*?\*\)", skip=True), TokenSpec("(", r"\(")],
+             "((* c *)\n?"),
+        ],
+    )
+    def test_rule_order_semantics_match_the_reference(self, specs, text):
+        from parsing_reference import reference_scan
+
+        def outcome(call):
+            try:
+                return call()
+            except LexerError as error:
+                return str(error), error.line, error.column
+
+        lexer = Lexer(specs)
+        assert outcome(lambda: lexer.scan(text)[:2]) == outcome(
+            lambda: reference_scan(specs, text)
+        )
+
+    def test_numbered_back_reference_rejected(self):
+        with pytest.raises(ValueError, match="back-reference"):
+            Lexer([TokenSpec("Q", r"(['\"]).*?\1")])
+
+    def test_token_is_a_light_record(self):
+        token = Token("NUMBER", "12", 3, 4)
+        assert (token.kind, token.text, token.line, token.column) == ("NUMBER", "12", 3, 4)
+        assert token == Token("NUMBER", "12", 3, 4) and hash(token) == hash(
+            Token("NUMBER", "12", 3, 4)
+        )
+        assert repr(token) == "Token(NUMBER, '12', 3:4)"
+        assert not hasattr(token, "__dict__")
+
 
 def _list_grammar():
     """A tiny grammar: comma-separated numbers, synthesizing their sum."""
@@ -67,8 +110,9 @@ class TestLALR:
         table = build_lalr_table(_list_grammar())
         assert table.state_count > 3
         assert not table.conflicts
-        # The initial state must shift NUMBER.
-        assert table.action[0]["NUMBER"].kind == "shift"
+        # The initial state must shift NUMBER: a shift is its target state, > 0.
+        assert table.action[0]["NUMBER"] > 0
+        assert Action.of(table.action[0]["NUMBER"]).kind == "shift"
 
     def test_expression_grammar_conflicts_resolved_by_precedence(self, expr_grammar):
         table = build_lalr_table(expr_grammar)
