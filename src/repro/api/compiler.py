@@ -21,13 +21,14 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.api.language import Language, engine_for, get_language
+from repro.api.language import Language, engine_for, get_language, parse_for_compile
 from repro.backends.base import Substrate, compiles_in_flight
 from repro.distributed.compiler import (
     CompilationReport,
     CompilerConfiguration,
     ParallelCompiler,
 )
+from repro.partition.decomposition import TreeRoot
 from repro.tree.node import ParseTreeNode
 
 
@@ -139,10 +140,14 @@ class Compiler:
         machines: Optional[int] = None,
         root_inherited: Optional[Dict[str, Any]] = None,
     ) -> CompileResult:
-        """Parse and compile ``source``; returns the uniform :class:`CompileResult`."""
+        """Parse and compile ``source``; returns the uniform :class:`CompileResult`.
+
+        A language with a front end is compiled from its recogniser's records
+        (:func:`~repro.api.language.parse_for_compile`): no tree is built here.
+        """
         with compiles_in_flight:
             started = time.perf_counter()
-            tree = self.language.parse(source)
+            tree = parse_for_compile(self.language, source)
             wall_parse = time.perf_counter() - started
             report = self._engine_compile(tree, machines, root_inherited)
         return self._result(report, wall_parse)
@@ -162,7 +167,7 @@ class Compiler:
 
     def _engine_compile(
         self,
-        tree: ParseTreeNode,
+        tree: TreeRoot,
         machines: Optional[int],
         root_inherited: Optional[Dict[str, Any]],
     ) -> CompilationReport:

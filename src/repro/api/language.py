@@ -34,8 +34,10 @@ from repro.distributed.compiler import (
 )
 from repro.grammar.grammar import AttributeGrammar
 from repro.parsing.parser import Parser
+from repro.partition.decomposition import TreeRoot
 from repro.strings.rope import Rope
 from repro.tree.node import ParseTreeNode
+from repro.tree.spans import PostOrderSpans
 
 
 class LanguageError(ValueError):
@@ -354,6 +356,24 @@ def _runtime(language: Union[str, Language]) -> _LanguageRuntime:
             f"available: {', '.join(available_languages()) or '(none)'}"
         )
     return runtime
+
+
+def parse_for_compile(language: Language, source: str) -> TreeRoot:
+    """What a one-shot compile of ``source`` runs on.
+
+    A language with a :meth:`~Language.frontend` is lexed and recognised, and the
+    recogniser's post-order records are kept as they are
+    (:class:`~repro.tree.spans.PostOrderSpans`): the compile plans over their spans
+    and ships each region as a slice of them, so no node is built here.  Any other
+    language is parsed into a tree with :meth:`~Language.parse`.  A lexer or parse
+    error is the one :meth:`~Language.parse` raises.
+    """
+    frontend = language.frontend()
+    if frontend is None:
+        return language.parse(source)
+    lexer, parser = frontend
+    codes, values = parser.recognise(lexer.tokenize(source))
+    return PostOrderSpans(parser.grammar, codes, values).root
 
 
 def engine_for(

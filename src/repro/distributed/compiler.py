@@ -61,13 +61,11 @@ from repro.evaluation.base import EvaluationStatistics
 from repro.grammar.attributes import AttributeKind
 from repro.grammar.grammar import AttributeGrammar
 from repro.grammar.symbols import Nonterminal
-from repro.partition.decomposition import DecompositionPlan, plan_decomposition
+from repro.partition.decomposition import DecompositionPlan, TreeRoot, plan_decomposition
 from repro.runtime.cost import CostModel
 from repro.runtime.machine import ActivityInterval, ActivityKind
 from repro.runtime.network import NetworkParameters
 from repro.strings.rope import Rope
-from repro.tree.linearize import pack
-from repro.tree.node import ParseTreeNode
 
 
 @dataclass
@@ -308,7 +306,7 @@ class ParallelCompiler:
 
     def compile_tree(
         self,
-        tree: ParseTreeNode,
+        tree: TreeRoot,
         machines: int,
         root_inherited: Optional[Dict[str, Any]] = None,
         backend: Optional[str] = None,
@@ -318,6 +316,10 @@ class ParallelCompiler:
         receive_timeout: Optional[float] = None,
     ) -> CompilationReport:
         """Compile an already-parsed tree on ``machines`` (simulated or real) workers.
+
+        ``tree`` is a built tree's root or the root span of the recogniser's
+        post-order records (:mod:`repro.tree.spans`); either way each region ships
+        packed and is built only by its evaluator.
 
         Precedence for the execution substrate: per-call ``substrate`` >
         per-call ``backend`` > the compiler's own ``substrate`` > its ``backend``.
@@ -386,7 +388,7 @@ class ParallelCompiler:
     def _compile_on_session(
         self,
         session: Backend,
-        tree: ParseTreeNode,
+        tree: TreeRoot,
         machines: int,
         decomposition: DecompositionPlan,
         root_inherited: Optional[Dict[str, Any]],
@@ -615,16 +617,15 @@ class ParallelCompiler:
         reuse_ids = reuse_ids or set()
         ship_started = time.perf_counter()
         # Every region ships packed (``repro.tree.linearize``'s array-of-ints codec) on
-        # every substrate, and the evaluator rebuilds it with the iterative ``unpack``,
-        # however deep it is.  Ship remote regions first (they must cross the network),
-        # then hand the root region to the co-located evaluator.  Replayed regions are
-        # not shipped at all — that is the "ship only dirty regions" half of
-        # incremental compiles.
+        # every substrate — the plan's ``packed``, made once per region — and the
+        # evaluator rebuilds it with the iterative ``unpack``, however deep it is.
+        # Ship remote regions first (they must cross the network), then hand the root
+        # region to the co-located evaluator.  Replayed regions are not shipped at
+        # all — that is the "ship only dirty regions" half of incremental compiles.
         for region in decomposition.regions[1:]:
             if region.region_id in reuse_ids:
                 continue
-            holes = decomposition.holes_of(region.region_id)
-            encoded = pack(self.grammar, region.root, holes)
+            encoded = decomposition.packed(region.region_id, self.grammar)
             cost = (
                 config.cost_model.linearize_cost(encoded.size_bytes())
                 + config.cost_model.message_cpu_cost
@@ -649,7 +650,7 @@ class ParallelCompiler:
         root_message = SubtreeMessage(
             region_id=0,
             parent_region=None,
-            tree=pack(self.grammar, root_region.root, decomposition.holes_of(0)),
+            tree=decomposition.packed(0, self.grammar),
             unique_base=base_for_region(0),
             root_inherited=dict(root_inherited),
             label=root_region.label,

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.grammar.grammar import AttributeGrammar
 from repro.partition.decomposition import DecompositionPlan
-from repro.tree.linearize import pack
+from repro.tree.linearize import PackedTree
 
 
 #: Memo key: (region root node id, sorted (hole node id, child region id) pairs).
@@ -94,13 +94,8 @@ def engine_digest(
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
-def region_content_hash(
-    grammar: AttributeGrammar,
-    region_root,
-    holes: Dict[int, int],
-) -> bytes:
-    """Content hash of one region's subtree, holes excluded, node ids excluded."""
-    packed = pack(grammar, region_root, holes)
+def region_content_hash(packed: PackedTree) -> bytes:
+    """Content hash of one packed region: holes excluded, node ids excluded."""
     digest = hashlib.sha256()
     digest.update(packed.root_symbol.encode())
     digest.update(packed.codes.tobytes())
@@ -120,7 +115,9 @@ def region_keys(
 
     With a ``memo``, regions whose root node (and hole wiring) survived from the
     previous build skip the packing pass entirely — fingerprinting then costs
-    O(changed content), not O(tree).
+    O(changed content), not O(tree).  A region it packs stays packed in the plan
+    (:meth:`~repro.partition.decomposition.DecompositionPlan.packed`), and the
+    compile ships that same object.
     """
     keys: Dict[int, str] = {}
     fresh_hashes: Dict[MemoKey, bytes] = {}
@@ -135,7 +132,7 @@ def region_keys(
         memo_key = (region.root.node_id, tuple(sorted(holes.items())))
         content = memo.get(memo_key) if memo is not None else None
         if content is None:
-            content = region_content_hash(grammar, region.root, holes)
+            content = region_content_hash(decomposition.packed(region.region_id, grammar))
         fresh_hashes[memo_key] = content
         digest = hashlib.sha256()
         digest.update(engine.encode())

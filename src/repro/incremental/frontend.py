@@ -24,7 +24,8 @@ reuse whatever an edit left intact:
   prove their regions' content unchanged without re-packing them.  For an
   unambiguous backbone the isolated parse is the unique derivation of that token
   slice, so the spliced tree equals a full reparse; any sub-parse failure falls
-  back to the next enclosing candidate and finally to a full parse.
+  back to the next enclosing candidate and finally to a full parse, which is also
+  what a candidate spanning the whole token stream gets.
 """
 
 from __future__ import annotations
@@ -261,6 +262,10 @@ def incremental_reparse(
     for depth in range(len(path) - 1, 0, -1):  # smallest candidate first; 0 = root
         candidate, span_start = path[depth]
         span_end = span_start + candidate.token_count
+        if span_start == 0 and span_end + token_delta == len(new_tokens):
+            # This candidate and every one enclosing it span the whole stream:
+            # parse it once, with the full table.
+            break
         slice_tokens = new_tokens[span_start : span_end + token_delta]
         try:
             table = subtree_table(grammar, candidate.symbol.name)

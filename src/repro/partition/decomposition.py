@@ -11,22 +11,31 @@ the paper ("Source Program Decomposition") is regenerated directly from the resu
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
+from repro.grammar.grammar import AttributeGrammar
+from repro.tree import linearize
+from repro.tree.linearize import PackedTree
 from repro.tree.node import ParseTreeNode
+from repro.tree.spans import SpanNode
+
+#: What a plan is made over: a built tree's node, or a span of the recogniser's
+#: post-order records (:mod:`repro.tree.spans`); both carry the summaries it reads.
+TreeRoot = Union[ParseTreeNode, SpanNode]
 
 
 @dataclass
 class Region:
     """One region of the decomposed tree, evaluated by one evaluator process.
 
-    Region 0 is always the *root region*, kept by the evaluator co-located with (or
-    closest to) the parser; nested regions hang off it in a region tree that mirrors the
-    evaluator process tree of the paper.
+    Region 0 is always the *root region*: its evaluator runs on the parser's machine
+    (in-process on ``simulated`` and ``threads``, in a forked worker on ``processes``,
+    on a cluster worker on ``sockets``); nested regions hang off it in a region tree
+    that mirrors the evaluator process tree of the paper.
     """
 
     region_id: int
-    root: ParseTreeNode
+    root: TreeRoot
     parent_region: Optional[int]
     size: int = 0                       # abstract linearized bytes owned by this region
     node_count: int = 0
@@ -45,20 +54,44 @@ class DecompositionPlan:
     regions: List[Region]
     total_size: int
     threshold: int
+    _packed: Dict[int, PackedTree] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def region_count(self) -> int:
         return len(self.regions)
 
-    def region_roots(self) -> Dict[int, ParseTreeNode]:
+    def region_roots(self) -> Dict[int, TreeRoot]:
         return {region.region_id: region.root for region in self.regions}
 
     def holes_of(self, region_id: int) -> Dict[int, int]:
-        """Map from detached child-root node ids to their region ids (for ``pack``)."""
+        """Map from the node ids of the region's child-region roots (its holes, in
+        tree order) to those regions' ids."""
         region = self.regions[region_id]
         return {
             self.regions[child].root.node_id: child for child in region.child_regions
         }
+
+    def packed(self, region_id: int, grammar: AttributeGrammar) -> PackedTree:
+        """The region as it ships, with a hole record per child region (made once).
+
+        A region of a built tree is packed from its nodes
+        (:func:`repro.tree.linearize.pack`); a region of a span view is a slice of
+        the recogniser's records (:meth:`repro.tree.spans.PostOrderSpans.pack`).
+        Fingerprinting and shipping read the same object, so a compile packs each
+        region at most once.
+        """
+        packed = self._packed.get(region_id)
+        if packed is None:
+            root = self.regions[region_id].root
+            holes = self.holes_of(region_id)
+            if isinstance(root, SpanNode):
+                packed = root.spans.pack(root, holes)
+            else:
+                packed = linearize.pack(grammar, root, holes)
+            self._packed[region_id] = packed
+        return packed
 
     def balance(self) -> float:
         """Largest region size divided by the ideal (total / region count); 1.0 = perfect."""
@@ -103,12 +136,15 @@ def _region_labels(count: int) -> List[str]:
 
 
 def plan_decomposition(
-    root: ParseTreeNode,
+    root: TreeRoot,
     machines: int,
     min_size: Optional[int] = None,
     scale: float = 1.0,
 ) -> DecompositionPlan:
     """Decompose the tree rooted at ``root`` into at most ``machines`` regions.
+
+    ``root`` is a built tree's node or a :class:`~repro.tree.spans.SpanNode` of the
+    recogniser's records; the plan reads only their summaries, so it is the same.
 
     :param machines: number of evaluator machines available (>= 1).
     :param min_size: explicit minimum region size (abstract bytes).  When omitted, the
@@ -134,7 +170,7 @@ def plan_decomposition(
     # every subtree whose ``wire_size`` is under the threshold: nothing in it can
     # be chosen.  Each frame is [node, next child index, bytes detached below,
     # chosen descendants still waiting for a chosen ancestor, pre-order rank].
-    chosen: List[Tuple[int, ParseTreeNode]] = []
+    chosen: List[Tuple[int, TreeRoot]] = []
     chosen_ancestor: Dict[int, int] = {}     # chosen node id -> nearest chosen ancestor id
     remaining_splits = machines - 1
     rank = 0

@@ -39,6 +39,7 @@ from repro.backends.base import compiles_in_flight
 from repro.distributed.compiler import CompilationReport, ParallelCompiler
 from repro.faults import plan as _faults
 from repro.resilience import CancelToken, Deadline, DeadlineExceeded
+from repro.partition.decomposition import TreeRoot
 from repro.tree.node import ParseTreeNode
 
 #: How many completed-job latencies the service keeps for percentile estimates.
@@ -75,11 +76,16 @@ class CompilationJob:
     language: Optional[str] = None
     evaluator: str = "combined"
 
-    def resolve(self) -> Tuple[ParallelCompiler, ParseTreeNode]:
-        """The engine and parsed tree this job runs on (parsing if needed)."""
+    def resolve(self) -> Tuple[ParallelCompiler, TreeRoot]:
+        """The engine and the parse this job runs on (parsing if needed).
+
+        A language job's ``source`` without a ``parse`` callable is lexed and
+        recognised, not built into a tree
+        (:func:`~repro.api.language.parse_for_compile`).
+        """
         if self.language is not None:
             # Local import: repro.api builds on the service layer, not the reverse.
-            from repro.api.language import engine_for, get_language
+            from repro.api.language import engine_for, get_language, parse_for_compile
 
             lang = get_language(self.language)
             engine = self.compiler or engine_for(lang, self.evaluator)
@@ -90,8 +96,9 @@ class CompilationJob:
                     f"job {self.label!r} names language {self.language!r} "
                     "but has neither a tree nor a source"
                 )
-            parse = self.parse or lang.parse
-            return engine, parse(self.source)
+            if self.parse is not None:
+                return engine, self.parse(self.source)
+            return engine, parse_for_compile(lang, self.source)
         if self.compiler is None:
             raise ServiceError(
                 f"job {self.label!r} needs a language name or a compiler"

@@ -64,6 +64,7 @@ class GrammarCodec:
         "production_lhs_id",
         "production_rhs_ids",
         "production_attributes",
+        "record_arity",
     )
 
     def __init__(self, grammar: AttributeGrammar):
@@ -100,6 +101,13 @@ class GrammarCodec:
         self.production_attributes = [
             len(production.lhs.attributes) for production in productions
         ]
+        #: Children of a record by its packed code: a production's arity, 0 for a
+        #: terminal or a hole.
+        self.record_arity = [0] * (
+            max(len(productions), len(self.terminal_list), len(self.nonterminal_list)) << 2
+        )
+        for index, count in enumerate(self.production_arity):
+            self.record_arity[index << 2] = count  # _TAG_PRODUCTION
 
 
 _codec_cache: "weakref.WeakKeyDictionary[AttributeGrammar, GrammarCodec]" = (

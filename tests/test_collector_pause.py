@@ -218,3 +218,35 @@ class TestCollectorPausedWhileCompiling:
         after = compiles_in_flight.snapshot()
         assert after["compiles_in_flight"] == 0
         assert 1 <= after["resumes"] - resumes <= entries_per_thread * threads_count
+
+
+class TestNothingLeftForTheYoungCollection:
+    @pytest.mark.parametrize("artifact_cache", [False, True])
+    def test_service_one_shot_leaves_no_tree_node(self, artifact_cache, monkeypatch):
+        """A source job is compiled from the recogniser's spans, so when the guard
+        lets collection resume, no parse-tree node is left for it to walk."""
+        from repro.backends.base import CompilesInFlight
+        from repro.tree.node import ParseTreeNode
+
+        source = generate_program(procedures=12)
+        nodes_at_exit = []
+        original = CompilesInFlight.__exit__
+
+        def exit_(self, *exc_info):
+            if self._depth == 1:
+                nodes_at_exit.append(
+                    sum(1 for o in gc.get_objects(generation=0) if type(o) is ParseTreeNode)
+                )
+            return original(self, *exc_info)
+
+        with CompilationService("threads", artifact_cache=artifact_cache) as service:
+            job = CompilationJob(language="pascal", source=source, machines=MACHINES)
+            reference = service.submit(job).result(timeout=60)  # tables and plans
+            gc.collect()
+            monkeypatch.setattr(CompilesInFlight, "__exit__", exit_)
+            edited = source.replace(":= 1", ":= 7", 1)
+            report = service.submit(
+                CompilationJob(language="pascal", source=edited, machines=MACHINES)
+            ).result(timeout=60)
+        assert report.decomposition.region_count == reference.decomposition.region_count
+        assert nodes_at_exit == [0]

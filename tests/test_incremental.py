@@ -33,6 +33,7 @@ from repro.incremental.frontend import (
 )
 from repro.distributed.recording import RegionRecording
 from repro.distributed.evaluator_node import EvaluatorReport
+from repro.exprlang.evaluator import random_expression_source
 from repro.partition.decomposition import plan_decomposition
 from repro.pascal.compiler import _shared_parser
 from repro.pascal.grammar import pascal_grammar
@@ -192,6 +193,37 @@ class TestIncrementalReparse:
         assert new_tree is tree
 
 
+    def test_unparsable_keystroke_parses_the_whole_stream_once(self, monkeypatch):
+        """A candidate whose token span is the whole stream goes straight to the
+        full parse: the stream is parsed once, and fails as a cold compile does."""
+        from repro.parsing.parser import ParseError, Parser
+
+        source = random_expression_source(120, seed=4, nesting=5)
+        at = source.rindex("ni")
+        edited = source[:at] + "in" + source[at + 2 :]
+        with pytest.raises(ParseError) as cold:
+            Compiler("exprlang").compile(edited)
+
+        document = Document("exprlang", source, machines=2)
+        document.recompile()
+        parsed = []
+        original = Parser.parse
+
+        def counting_parse(parser, tokens):
+            parsed.append(len(tokens))
+            return original(parser, tokens)
+
+        monkeypatch.setattr(Parser, "parse", counting_parse)
+        document.edit(at, at + 2, "in")
+        with pytest.raises(ParseError) as incremental:
+            document.recompile()
+        whole = len(get_language("exprlang").frontend()[0].tokenize(edited))
+        assert whole == 459
+        assert parsed.count(whole) == 1
+        assert str(incremental.value) == str(cold.value)
+        assert tuple(incremental.value.token) == tuple(cold.value.token)
+
+
 # ------------------------------------------------------------------ fingerprints
 
 
@@ -227,6 +259,86 @@ class TestFingerprints:
         assert region_keys(grammar, decomposition, "engine-a") != region_keys(
             grammar, decomposition, "engine-b"
         )
+
+    def test_span_keys_equal_tree_keys(self, source):
+        """A source job fingerprints the recogniser's slices; a Document, its tree's
+        packed regions: the keys are the same bytes."""
+        from repro.api.language import parse_for_compile
+
+        language = get_language("pascal")
+        grammar = pascal_grammar()
+        spans = plan_decomposition(parse_for_compile(language, source), MACHINES)
+        tree = plan_decomposition(language.parse(source), MACHINES)
+        assert spans.region_count > 2
+        assert region_keys(grammar, spans, "engine") == region_keys(grammar, tree, "engine")
+
+    def test_document_recompile_packs_each_region_once(self, monkeypatch):
+        """Fingerprinting packs every region the memo misses, and the compile ships
+        those same packed regions: a dirty region is packed once, not once to hash
+        it and again to ship it, and a memoised clean region is not packed."""
+        from repro.tree import linearize
+
+        source = generate_program(procedures=46)
+        packed_roots = []
+        original = linearize.pack
+
+        def counting_pack(grammar, root, holes=None):
+            packed_roots.append(root)
+            return original(grammar, root, holes)
+
+        def packed_labels(result):
+            label_of = {
+                id(region.root): region.label
+                for region in result.report.decomposition.regions
+            }
+            labels = sorted(label_of[id(root)] for root in packed_roots)
+            packed_roots.clear()
+            return labels
+
+        with Session(backend="threads", machines=CHAIN_MACHINES) as session:
+            document = session.open("pascal", source, machines=CHAIN_MACHINES)
+            monkeypatch.setattr(linearize, "pack", counting_pack)
+            assert packed_labels(document.recompile()) == ["a", "b", "c", "d"]
+
+            # proc2 lies in the deepest region, so the spliced spine runs through
+            # every region and the memo misses them all: each is packed once to
+            # hash it, and the two dirty ones ship that same object.
+            literal = source.index(" div 2;", source.index("procedure proc2"))
+            document.edit(literal, literal + 7, " div 3;")
+            routine = document.recompile()
+            assert routine.incremental.frontend == "splice"
+            assert routine.incremental.dirty_regions == ["a", "d"]
+            assert packed_labels(routine) == ["a", "b", "c", "d"]
+
+            # An edit of the main body leaves the routines' regions memoised.
+            literal = source.rindex(":= 1")
+            document.edit(literal, literal + 4, ":= 2")
+            body = document.recompile()
+            assert body.incremental.dirty_regions == ["a"]
+            assert packed_labels(body) == ["a"]
+
+    def test_store_warmed_by_a_source_job_replays_for_a_document(self, tmp_path):
+        """Keys are byte-identical across the span path and the tree path: a store a
+        service job filled from source text warms a Document of the same text."""
+        from repro.service import CompilationJob, CompilationService
+
+        texts = {
+            "pascal": generate_program(procedures=8),
+            "exprlang": random_expression_source(300, seed=2, nesting=4),
+        }
+        for language, text in texts.items():
+            store = str(tmp_path / language)
+            with CompilationService("threads", store=store) as service:
+                job = CompilationJob(language=language, source=text, machines=4)
+                report = service.submit(job).result(timeout=60)
+            children = report.decomposition.region_count - 1
+            assert report.region_cache_misses == children + 1
+            with Session(backend="threads", machines=4, store=store) as session:
+                result = session.open(language, text, machines=4).recompile()
+                assert session.artifact_cache.store_hits == children
+            assert result.incremental.content_misses == 0
+            if language == "exprlang":  # ROADMAP item 21: Pascal replays only on processes
+                assert result.incremental.regions_reused == children
 
     def test_memo_avoids_repacking_surviving_regions(self, source):
         language = get_language("pascal")
@@ -700,9 +812,20 @@ class TestOldStores:
         digests post-order ones, and reads none of the old keys."""
         from parsing_reference import reference_pack
 
+        from repro.tree.linearize import unpack
+
+        grammar = pascal_grammar()
+        post_order_hash = fingerprint.region_content_hash
+
+        def pre_order_hash(packed):
+            root, holes = unpack(grammar, packed)
+            placed = {node.node_id: region for region, node in holes.items()}
+            return post_order_hash(reference_pack(grammar, root, placed))
+
         assert fingerprint.ARTIFACT_FORMAT == 3
         self._misses_cleanly(
-            tmp_path, monkeypatch, chain_source, ARTIFACT_FORMAT=2, pack=reference_pack
+            tmp_path, monkeypatch, chain_source,
+            ARTIFACT_FORMAT=2, region_content_hash=pre_order_hash,
         )
 
 

@@ -566,3 +566,50 @@ class TestCompileMakesNoTreeWalk:
         assert result.report.decomposition.region_count == 3
         assert result.value == reference.value
         assert walks == []
+
+
+# --------------------------------------------- source compiles build no driver tree
+
+
+class TestSourceCompilesBuildNoTree:
+    """``Compiler.compile(source)`` plans over the recogniser's spans and ships slices
+    of its records: only evaluators build nodes, each its own region."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The record count of every ``build`` call in this process (parse and unpack)."""
+        from repro.parsing import parser
+        from repro.tree import linearize
+
+        counts = []
+        original = linearize.build
+
+        def counting_build(grammar, codes, values, hole_meta=()):
+            counts.append(len(codes))
+            return original(grammar, codes, values, hole_meta)
+
+        monkeypatch.setattr(linearize, "build", counting_build)
+        monkeypatch.setattr(parser, "build", counting_build)
+        return counts
+
+    @pytest.mark.parametrize("backend", ["processes", "threads"])
+    def test_builds_only_evaluated_regions(self, backend, builds):
+        from repro import Session
+        from repro.api.language import get_language
+        from repro.pascal.programs import generate_program
+
+        source = generate_program(procedures=8, statements_per_procedure=2, seed=5)
+        whole = get_language("pascal").parse(source).node_count
+        with Session(backend=backend, machines=3) as session:
+            compiler = session.compiler("pascal")
+            reference = compiler.compile(source)  # pool, tables and plans: made once
+            builds.clear()
+            result = compiler.compile(source)
+        regions = result.report.decomposition.region_count
+        assert result.value == reference.value
+        assert regions >= 2
+        if backend == "processes":
+            assert builds == []  # every region is built in a worker
+        else:
+            assert len(builds) == regions
+            assert all(count < whole for count in builds)
