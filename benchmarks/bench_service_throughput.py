@@ -193,14 +193,14 @@ def test_mixed_language_bundle_cache(benchmark, capsys):
     def sweep():
         with ProcessesSubstrate() as pool:
             percall = run_stream(pool, percall_jobs)
-            percall_entries = len(pool._shared_ids)
+            percall_entries = len(pool._bundles.ids)
         with ProcessesSubstrate() as pool:
             named = run_stream(pool, registry_jobs)
             named_entries = [
-                ident for ident in pool._shared_ids if ident and ident[0] == "named"
+                ident for ident in pool._bundles.ids if ident and ident[0] == "named"
             ]
             assert len(named_entries) == 2  # one bundle per language, ever
-            assert len(pool._shared_ids) == 2
+            assert len(pool._bundles.ids) == 2
         # The per-call arm registered a fresh bundle per engine (plus warmup).
         assert percall_entries > len(named_entries)
         return percall, named

@@ -66,7 +66,6 @@ from repro.strings import Rope, rope
 from repro.symtab import SymbolTable, st_add, st_create, st_lookup
 from repro.exprlang import (
     evaluate_expression,
-    evaluate_expression_parallel,
     expression_grammar,
     parse_expression,
 )
@@ -159,7 +158,6 @@ __all__ = [
     "st_create",
     "st_lookup",
     "evaluate_expression",
-    "evaluate_expression_parallel",
     "expression_grammar",
     "parse_expression",
     "ArtifactCache",

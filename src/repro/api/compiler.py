@@ -1,9 +1,7 @@
 """The unified :class:`Compiler` facade: one ``compile(source)`` for every language.
 
-Where the historical entry points hard-wired one workload each
-(``PascalCompiler.compile_parallel``, ``evaluate_expression_parallel``), the facade
-is parameterised by a registered language and a substrate choice, and always returns
-the same :class:`CompileResult` shape::
+The facade is parameterised by a registered language and a substrate choice, and
+always returns the same :class:`CompileResult` shape::
 
     from repro import Compiler
 

@@ -220,11 +220,20 @@ class Session:
         """A :class:`~repro.service.CompilationService` borrowing this session's pool.
 
         The service keeps up to ``max_in_flight`` compilations running concurrently;
-        shutting the service down leaves the session's substrate running.
+        shutting the service down leaves the session's substrate running.  A session
+        with a store lends the service its :attr:`artifact_cache`, so the service's
+        jobs read and warm that store; :meth:`close` closes the cache, the service
+        does not.
         """
         from repro.service import CompilationService
 
-        return CompilationService(self.substrate, max_in_flight=max_in_flight)
+        if self._store is None:
+            return CompilationService(self.substrate, max_in_flight=max_in_flight)
+        return CompilationService(
+            self.substrate,
+            max_in_flight=max_in_flight,
+            artifact_cache=self.artifact_cache,
+        )
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else ("started" if self._substrate else "new")

@@ -78,9 +78,9 @@ class Receive:
 class Mailbox:
     """A named FIFO channel owned by one receiving process.
 
-    Concrete backends attach their own transport handle (a simulator ``Store`` or an
-    in-process queue) or, on the pooled processes substrate, a number that routes
-    deliveries to the worker that reads the mailbox.
+    Concrete backends attach their own transport handle (a simulator ``Store``) or,
+    on the substrates with worker processes, a number within the session and the log
+    that replays the mailbox to whoever reads it (:mod:`repro.backends.routing`).
     """
 
     __slots__ = ("name",)
@@ -115,8 +115,8 @@ class WorkerJob:
     """A substrate-neutral description of a worker process body.
 
     ``factory(transport, **kwargs, **shared)`` must return the request generator to
-    drive; it is called with the session (or, on pooled process workers, a child-side
-    transport proxy) as its first argument.  In-process substrates materialise the body
+    drive; it is called with the session (or, inside a worker process, the job's
+    transport) as its first argument.  In-process substrates materialise the body
     immediately; the processes and sockets substrates pickle the job and rebuild the
     body inside a long-lived worker, which is why ``factory`` must be a module-level
     callable and ``kwargs`` must pickle (a ``Mailbox`` of the session crosses as its

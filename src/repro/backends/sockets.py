@@ -1,12 +1,19 @@
 """The sockets backend: evaluator workers on other host processes, over TCP.
 
-The fourth substrate.  Mailboxes live on a :class:`~repro.cluster.coordinator.
-ClusterCoordinator` inside the driving process; evaluator jobs run on
-:mod:`repro.cluster.worker` processes — separate Python interpreters reachable
-only through a socket, on this machine or any other.  Every protocol message
-round-trips through pickle inside a length-prefixed frame, so this substrate is
-the real multi-host deployment shape of the paper's design: parser and string
-librarian co-located with the caller, evaluators sharded across machines.
+The fourth substrate, and the real multi-host shape of the paper's design: parser and
+string librarian run with the caller, evaluators on :mod:`repro.cluster.worker`
+processes — separate Python interpreters reachable only through a socket, on this
+machine or any other.  Every frame is a length-prefixed pickle
+(:mod:`repro.cluster.wire`).
+
+Sessions, mailboxes, the attempt book, the bundle registry and the job runner inside
+a worker are the coordinator core in :mod:`repro.backends.routing`, the same code the
+``processes`` pool runs.  What is the cluster's own lives in
+:class:`~repro.cluster.coordinator.ClusterCoordinator` and the worker: accept and
+handshake, a reader and a writer thread per connection, heartbeats, shard placement
+on a consistent hash ring, and a job that runs again after backoff on the next live
+shard, up to ``max_attempts``, with speculation (``speculate_after``) and
+coordinator-side timeouts (``job_timeout``) on top.
 
 Two fleets are supported:
 
@@ -19,13 +26,6 @@ Two fleets are supported:
   hosts that can reach it; :meth:`SocketsSubstrate.wait_for_workers` blocks
   until the fleet is up.
 
-Fault tolerance is the coordinator's: regions are consistent-hashed to worker
-shards, worker death (connection loss or heartbeat expiry) reassigns orphaned
-regions with exponential backoff, and ``speculate_after`` enables speculative
-re-execution of stragglers.  Deterministic replay plus duplicate-output
-suppression make a compile's result byte-identical whether or not a worker was
-killed halfway through — see :mod:`repro.cluster.coordinator`.
-
 Unlike the processes substrate this needs no ``fork`` start method: workers are
 fresh interpreters, so the sockets substrate also runs where only ``spawn`` is
 available.
@@ -37,23 +37,12 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.backends.base import (
-    Backend,
-    BackendError,
-    BackendTelemetry,
-    Mailbox,
-    Substrate,
-    WorkerJob,
-    apply_send_faults,
-    blocking_receive,
-    drive,
-)
-from repro.cluster.coordinator import ClusterCoordinator, ClusterMailbox, ClusterStats
-from repro.faults import plan as _faults
+from repro.backends.base import BackendError
+from repro.backends.routing import Job, RoutedSubstrate
+from repro.cluster.coordinator import ClusterCoordinator, ClusterStats
 
 
 def _worker_environment() -> Dict[str, str]:
@@ -69,13 +58,10 @@ def _worker_environment() -> Dict[str, str]:
     return environment
 
 
-class SocketsSubstrate(Substrate):
+class SocketsSubstrate(RoutedSubstrate):
     """A persistent compile cluster reached over TCP (loopback or real hosts)."""
 
     name = "sockets"
-
-    #: Default bound on blocking receives (seconds) when none is configured.
-    DEFAULT_RECEIVE_TIMEOUT = 120.0
 
     def __init__(
         self,
@@ -94,10 +80,6 @@ class SocketsSubstrate(Substrate):
         worker_startup_timeout: float = 30.0,
         worker_store: Optional[str] = None,
     ):
-        super().__init__()
-        self.receive_timeout = (
-            self.DEFAULT_RECEIVE_TIMEOUT if receive_timeout is None else receive_timeout
-        )
         # A managed loopback fleet always has at least two shards so one compile
         # genuinely crosses worker boundaries (and a kill leaves a survivor).
         self._target_workers = max(2, workers) if manage_workers else workers
@@ -117,12 +99,10 @@ class SocketsSubstrate(Substrate):
             job_timeout=job_timeout,
             worker_request=self._on_worker_needed if manage_workers else None,
         )
-        self._lock = threading.Lock()
+        super().__init__(
+            receive_timeout, self._coordinator.book, self._coordinator.bundles
+        )
         self._local_workers: List[subprocess.Popen] = []
-        self._sessions: Dict[int, "SocketsSession"] = {}
-        self._session_seq = 0
-        self._started = False
-        self._stopped = False
 
     # ---------------------------------------------------------------- lifecycle
 
@@ -153,18 +133,8 @@ class SocketsSubstrate(Substrate):
                 self._stopped = True
                 return
             self._stopped = True
-            sessions = list(self._sessions.values())
             local = list(self._local_workers)
-        for session in sessions:
-            # Fail the whole in-flight run: the coordinator is about to stop
-            # routing frames, so completion records would never arrive.
-            with session._lock:
-                session._errors.append(
-                    ("substrate", "sockets substrate was shut down mid-run")
-                )
-            session._failed.set()
-            session._jobs_event.set()
-            session._wake_mailboxes("sockets substrate shut down")
+        self._fail_sessions("sockets substrate was shut down mid-run")
         self._coordinator.shutdown()
         # A local worker that never finished its handshake is still dialling: it
         # would keep at it for its whole connect timeout, so it is stopped here.
@@ -179,23 +149,6 @@ class SocketsSubstrate(Substrate):
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait(timeout=5.0)
-
-    def session(
-        self,
-        machines: int = 1,
-        *,
-        receive_timeout: Optional[float] = None,
-    ) -> "SocketsSession":
-        self.start()
-        with self._lock:
-            self._sessions_opened += 1
-            self._session_seq += 1
-            session_id = self._session_seq
-        return SocketsSession(
-            self,
-            session_id,
-            self.receive_timeout if receive_timeout is None else receive_timeout,
-        )
 
     # ------------------------------------------------------------------ cluster
 
@@ -286,197 +239,5 @@ class SocketsSubstrate(Substrate):
         managed fleet at its target size (dead processes are replaced, not mourned)."""
         self._spawn_local_workers(self._target_workers)
 
-    def _register(self, session: "SocketsSession") -> None:
-        with self._lock:
-            self._sessions[session.session_id] = session
-
-    def _unregister(self, session: "SocketsSession") -> None:
-        with self._lock:
-            self._sessions.pop(session.session_id, None)
-
-    def _submit_jobs(
-        self, session: "SocketsSession", jobs: List[Tuple[WorkerJob, str]]
-    ) -> None:
-        for index, (job, name) in enumerate(jobs):
-            try:
-                self._coordinator.submit(session, name, job)
-            except BaseException:
-                # Jobs from this one on were never submitted: settle their share
-                # of the session's completion count so close() doesn't stall.
-                session._account_unsubmitted(len(jobs) - index)
-                raise
-
-    def _abort_session(self, session: "SocketsSession") -> None:
-        self._coordinator.abort_session(session)
-        session._wake_mailboxes("session aborted")
-
-
-class SocketsSession(Backend):
-    """One compilation run on a :class:`SocketsSubstrate` cluster."""
-
-    name = "sockets"
-
-    def __init__(self, substrate: SocketsSubstrate, session_id: int, receive_timeout: float):
-        super().__init__()
-        self._substrate = substrate
-        self.session_id = session_id
-        self.receive_timeout = receive_timeout
-        self._worker_jobs: List[Tuple[WorkerJob, str]] = []
-        self._coordinators: List[Tuple[Generator, str]] = []
-        self._leased: List[ClusterMailbox] = []
-        self._failed = threading.Event()
-        self._errors: List[Tuple[str, str]] = []
-        self._lock = threading.Lock()
-        self._messages = 0
-        self._bytes = 0
-        self._jobs_remaining = 0
-        self._jobs_event = threading.Event()
-        self._start: Optional[float] = None
-
-    # ----------------------------------------------------------------- plumbing
-
-    def mailbox(self, name: str) -> ClusterMailbox:
-        mailbox = self._substrate.coordinator.lease_mailbox(self.session_id, name)
-        self._leased.append(mailbox)
-        return mailbox
-
-    def spawn(
-        self,
-        body: Any,
-        *,
-        name: str,
-        machine: int = 0,
-        coordinator: bool = False,
-    ) -> None:
-        if coordinator:
-            if isinstance(body, WorkerJob):
-                body = body.materialize(self)
-            self._coordinators.append((body, name))
-            return
-        if not isinstance(body, WorkerJob):
-            raise BackendError(
-                "sockets workers run from picklable WorkerJob specs; raw generator "
-                "bodies cannot cross a host boundary"
-            )
-        self._worker_count += 1
-        self._worker_jobs.append((body, name))
-
-    def send(
-        self,
-        source: int,
-        destination: int,
-        message: Any,
-        size_bytes: int,
-        mailbox: Mailbox,
-    ) -> None:
-        assert isinstance(mailbox, ClusterMailbox)
-        messages = [message]
-        if _faults.ACTIVE is not None:
-            replacement = apply_send_faults(mailbox.name, message)
-            if replacement is not None:
-                messages = replacement
-        # Coordinator-side sends go through route() — not straight into the local
-        # queue — so they land in the mailbox's replayable log; that log is what a
-        # re-executed evaluator on a fresh worker replays after a death.
-        for item in messages:
-            self._substrate.coordinator.route(mailbox.uid, item)
-        with self._lock:
-            self._messages += len(messages)
-            self._bytes += size_bytes * len(messages)
-
-    def _run(self) -> float:
-        self._start = time.perf_counter()
-        self._substrate._register(self)
-        self._jobs_remaining = len(self._worker_jobs)
-        if self._jobs_remaining == 0:
-            self._jobs_event.set()
-        else:
-            self._substrate._submit_jobs(self, self._worker_jobs)
-        coordinator_threads = [
-            threading.Thread(
-                target=self._run_coordinator, args=(body, name), name=name, daemon=True
-            )
-            for body, name in self._coordinators
-        ]
-        for thread in coordinator_threads:
-            thread.start()
-        self._jobs_event.wait()
-        for thread in coordinator_threads:
-            thread.join()
-        if self._errors:
-            name, detail = self._errors[0]
-            raise BackendError(f"worker {name!r} failed: {detail}")
-        return time.perf_counter() - self._start
-
-    @property
-    def now(self) -> float:
-        if self._start is None:
-            return 0.0
-        return time.perf_counter() - self._start
-
-    def telemetry(self) -> BackendTelemetry:
-        with self._lock:
-            return BackendTelemetry(
-                network_messages=self._messages, network_bytes=self._bytes
-            )
-
-    def _close(self) -> None:
-        if self._ran and not self._jobs_event.is_set():
-            # Torn down mid-flight (an error escaped between run() and result
-            # collection, or run() itself raised): unwind coordinators and abort
-            # our attempts across the fleet.
-            self._failed.set()
-            self._substrate._abort_session(self)
-            self._jobs_event.wait(timeout=10.0)
-        # Nothing can leak on a wedged run: mailbox uids are never reused, and the
-        # coordinator drops late frames for released sessions on the floor.
-        self._substrate.coordinator.release_session(self.session_id)
-        self._leased = []
-        self._substrate._unregister(self)
-
-    # ---------------------------------------------------------------- internals
-
-    def _wake_mailboxes(self, reason: str) -> None:
-        """Rouse coordinator bodies blocked on leased mailboxes.  Remote receivers
-        are woken by their own abort frames; wake tokens never enter the logs."""
-        for mailbox in self._leased:
-            self._substrate.coordinator.wake_mailbox(mailbox, reason)
-
-    def _account_unsubmitted(self, count: int) -> None:
-        """Settle completion accounting for jobs that never reached the cluster."""
-        with self._lock:
-            self._jobs_remaining -= count
-            if self._jobs_remaining <= 0:
-                self._jobs_event.set()
-
-    def _job_done(self, name: str, messages: int, size_bytes: int) -> None:
-        with self._lock:
-            self._messages += messages
-            self._bytes += size_bytes
-            self._jobs_remaining -= 1
-            if self._jobs_remaining <= 0:
-                self._jobs_event.set()
-
-    def _job_failed(self, name: str, detail: str) -> None:
-        with self._lock:
-            self._errors.append((name, detail))
-        self._failed.set()
-        self._substrate._abort_session(self)
-        with self._lock:
-            self._jobs_remaining -= 1
-            if self._jobs_remaining <= 0:
-                self._jobs_event.set()
-
-    def _run_coordinator(self, body: Generator, name: str) -> None:
-        try:
-            drive(body, lambda mailbox: self._coordinator_receive(mailbox, name))
-        except BaseException as error:  # noqa: BLE001 — reported via run()
-            with self._lock:
-                self._errors.append((name, repr(error)))
-            self._failed.set()
-            self._substrate._abort_session(self)
-
-    def _coordinator_receive(self, mailbox: ClusterMailbox, who: str) -> Any:
-        return blocking_receive(
-            mailbox.queue, self.receive_timeout, self._failed, who, mailbox.name
-        )
+    def _place(self, jobs: List[Job]) -> None:
+        self._coordinator.place(jobs)

@@ -8,8 +8,9 @@ Layout (mirroring the service-behind-a-thin-front-end layering):
   and language bundles across workers;
 * :mod:`repro.cluster.membership` — the worker directory (ids, heartbeats,
   liveness);
-* :mod:`repro.cluster.coordinator` — mailbox bridging with replayable message
-  logs, duplicate-output suppression, reassignment/speculation;
+* :mod:`repro.cluster.coordinator` — connections, shard placement, liveness,
+  reassignment/speculation (mailboxes, replay and duplicate suppression are the
+  coordinator core in :mod:`repro.backends.routing`, shared with ``processes``);
 * :mod:`repro.cluster.worker` — the ``python -m repro.cluster.worker`` host
   process entrypoint.
 
@@ -18,15 +19,10 @@ Most callers never import this package: ``create_substrate("sockets")`` (or
 :class:`~repro.backends.base.Substrate` contract.
 """
 
-from repro.cluster.coordinator import (
-    ClusterCoordinator,
-    ClusterError,
-    ClusterMailbox,
-    ClusterStats,
-)
+from repro.cluster.coordinator import ClusterCoordinator, ClusterError, ClusterStats
 from repro.cluster.hashing import HashRing, stable_hash
 from repro.cluster.membership import WorkerDirectory, WorkerInfo
-from repro.cluster.wire import MAGIC, PROTOCOL_VERSION, MailboxRef, ProtocolError
+from repro.cluster.wire import MAGIC, PROTOCOL_VERSION, ProtocolError
 
 
 def __getattr__(name: str):
@@ -43,12 +39,10 @@ def __getattr__(name: str):
 __all__ = [
     "ClusterCoordinator",
     "ClusterError",
-    "ClusterMailbox",
     "ClusterStats",
     "ClusterWorker",
     "HashRing",
     "MAGIC",
-    "MailboxRef",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "WorkerDirectory",

@@ -26,33 +26,37 @@ Both sides validate magic and version with :func:`check_handshake`; a version
 mismatch is an explicit, readable error — never a silent hang or a pickle
 explosion halfway into the first job.
 
-Post-handshake frame vocabulary (tag-first tuples):
+Post-handshake frame vocabulary (tag-first tuples; ``a`` is an attempt id, ``i`` a
+mailbox's number within its session).  Apart from ``ping``, ``bundle_miss`` and
+``shutdown`` these are the records and frames of the coordinator core in
+:mod:`repro.backends.routing`, the same ones a pooled ``processes`` worker writes to
+its pipe:
 
-========================  =============================================================
+==========================  ===========================================================
 worker -> coordinator
-------------------------  -------------------------------------------------------------
-``("claim", a, uid)``     attempt ``a`` will receive on mailbox ``uid``; the
-                          coordinator replays the mailbox's full message log and
-                          forwards every later message
-``("send", a, uid, m, n)``  attempt ``a`` sends message ``m`` (``n`` modelled bytes)
-                          to mailbox ``uid``
-``("report", a, r, rep)`` publish evaluator report ``rep`` for region ``r``
-``("done", a, m, b)``     attempt ``a`` finished (``m`` messages / ``b`` bytes sent)
-``("aborted", a)``        attempt ``a`` unwound after an abort frame
-``("error", a, tb)``      attempt ``a``'s body raised; ``tb`` is the traceback text
+--------------------------  -----------------------------------------------------------
+``("claim", a, i)``         attempt ``a`` will receive on mailbox ``i``; the
+                            coordinator replays the mailbox's full message log and
+                            forwards every later message
+``("send", a, i, blob)``    attempt ``a`` sends a message, pickled to ``blob``, to
+                            mailbox ``i``
+``("report", a, r, rep)``   publish evaluator report ``rep`` for region ``r``
+``("done", a, m, b)``       attempt ``a`` finished (``m`` messages / ``b`` bytes sent)
+``("aborted", a)``          attempt ``a`` unwound after an abort frame
+``("error", a, tb)``        attempt ``a``'s body raised; ``tb`` is the traceback text
 ``("bundle_miss", a, k, d)``  attempt ``a`` could not resolve shared blob ``k``
-                          (store ref digest ``d``) from its local store; re-ship bytes
-``("ping", seq)``         heartbeat
-------------------------  -------------------------------------------------------------
+                            (store ref digest ``d``) from its local store; re-ship bytes
+``("ping", seq)``           heartbeat
+--------------------------  -----------------------------------------------------------
 coordinator -> worker
-------------------------  -------------------------------------------------------------
+--------------------------  -----------------------------------------------------------
 ``("job", a, name, blob, shared, timeout)``  run job ``name`` as attempt ``a``
-                          (``shared`` maps key → blob bytes, or → :class:`StoreRef`
-                          when the worker advertised the digest at handshake)
-``("deliver", a, uid, m)``  a message for attempt ``a``'s claimed mailbox ``uid``
-``("abort", a)``          stop attempt ``a`` (its job completed elsewhere or failed)
-``("shutdown",)``         the cluster is going away; exit after unwinding
-========================  =============================================================
+                            (``shared`` maps key → blob bytes, or → :class:`StoreRef`
+                            when the worker advertised the digest at handshake)
+``("deliver", a, i, m)``    a message for attempt ``a``'s claimed mailbox ``i``
+``("abort", a)``            stop attempt ``a`` (its job completed elsewhere or failed)
+``("shutdown",)``           the cluster is going away; exit after unwinding
+==========================  ===========================================================
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from repro.faults import plan as _faults
 MAGIC = "repro-cluster"
 
 #: Bumped on every incompatible frame-vocabulary change; peers must match exactly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on a single frame (defensive: a corrupt length header must not
 #: trigger a multi-gigabyte allocation).  Large compiles ship regions well under
@@ -77,19 +81,6 @@ PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
-
-
-@dataclass(frozen=True)
-class MailboxRef:
-    """Stands in for a coordinator-resident mailbox inside a pickled job spec.
-
-    Defined here (not in the coordinator) because both ends unpickle it: the
-    coordinator writes refs into job payloads, the worker decodes them back into
-    claimable mailbox handles.
-    """
-
-    uid: str
-    name: str
 
 
 @dataclass(frozen=True)

@@ -4,23 +4,18 @@ Spawned on any machine that can reach the coordinator::
 
     python -m repro.cluster.worker --connect HOST:PORT
 
-One TCP connection carries everything: the handshake, job payloads (pickled
-:class:`~repro.backends.base.WorkerJob` specs with mailboxes encoded as
-:class:`~repro.cluster.wire.MailboxRef`), bridged mailbox traffic, and
-heartbeats.  The worker multiplexes any number of concurrent attempts — each
-job runs on its own thread, sleeping in a genuinely blocking local queue
-between messages, exactly like a pooled processes worker.
+One TCP connection carries everything: the handshake, job frames, the records of the
+jobs it runs, deliveries, and heartbeats.  The worker runs any number of jobs at once,
+each on a thread of its own.  A job runs exactly as it does in a pooled ``processes``
+worker — the same :class:`~repro.backends.routing.JobTransport` and
+:func:`~repro.backends.routing.run_job`: it claims a mailbox before its first read,
+and the coordinator then replays that mailbox's log before any later delivery, which
+is what makes running it again after a worker death transparent.  What is this
+module's own is the frame I/O around them — a reader that hands each attempt its
+frames, a lock-guarded writer shared with the heartbeat thread — and the bundles.
 
-The mailbox bridge is claim-based: the first :class:`~repro.backends.base.Receive`
-on a mailbox sends ``("claim", attempt, uid)`` upstream, and the coordinator
-replays that mailbox's full message log before forwarding live traffic.  That
-replay is what makes re-execution after a worker death transparent — a restarted
-evaluator sees byte-for-byte the message sequence its predecessor saw.
-
-Language bundles arrive once per worker ever (the coordinator tracks which
-shared blobs this connection already holds) and are cached by key across jobs,
-mirroring the pooled substrate's :class:`~repro.backends.base.SharedBundle`
-scheme.
+Language bundles arrive once per worker ever (the coordinator tracks which shared
+blobs this connection already holds) and are cached by key across jobs.
 
 With ``--store PATH`` the worker also mounts a persistent artifact store:
 bundle blobs it receives are written under their content digest (namespace
@@ -43,105 +38,31 @@ import sys
 import threading
 import time
 import traceback
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.backends.base import Mailbox, WakeToken, deadline_get, drive
+from repro.backends.routing import JobTransport, run_job
 from repro.cluster import wire
 from repro.faults import plan as faults_plan
 
 
-class _AttemptAborted(Exception):
-    """Raised inside a job thread when the coordinator aborts the attempt."""
+class _SocketTransport(JobTransport):
+    """A cluster job's frame I/O: records out on the worker's connection, frames in
+    from the worker's reader thread."""
 
-
-class WorkerMailbox(Mailbox):
-    """A worker-side handle on a coordinator-resident mailbox."""
-
-    __slots__ = ("uid", "queue")
-
-    def __init__(self, name: str, uid: str):
-        super().__init__(name)
-        self.uid = uid
-        self.queue: "queue_module.Queue" = queue_module.Queue()
-
-
-class _Attempt:
-    """Worker-side state of one running attempt."""
-
-    __slots__ = ("attempt_id", "name", "timeout", "mailboxes", "claimed", "abort",
-                 "thread")
-
-    def __init__(self, attempt_id: int, name: str, timeout: float):
-        self.attempt_id = attempt_id
-        self.name = name
-        self.timeout = timeout
-        self.mailboxes: Dict[str, WorkerMailbox] = {}   # uid -> handle
-        self.claimed: set = set()                       # uids claimed upstream
-        self.abort = threading.Event()
-        self.thread: Optional[threading.Thread] = None
-
-
-class _AttemptTransport:
-    """The Backend facade seen by a job body running on a cluster worker."""
-
-    name = "sockets"
-
-    def __init__(self, worker: "ClusterWorker", attempt: _Attempt):
+    def __init__(self, worker: "ClusterWorker", attempt_id: int, job_name: str,
+                 receive_timeout: float):
+        super().__init__(attempt_id, job_name, receive_timeout)
         self._worker = worker
-        self._attempt = attempt
-        self._started = time.perf_counter()
-        self.messages = 0
-        self.bytes = 0
+        self.frames: "queue_module.SimpleQueue[Tuple]" = queue_module.SimpleQueue()
 
-    def send(self, source: int, destination: int, message: Any, size_bytes: int,
-             mailbox: Mailbox) -> None:
-        assert isinstance(mailbox, WorkerMailbox)
-        self._worker.send_frame(
-            ("send", self._attempt.attempt_id, mailbox.uid, message, size_bytes)
-        )
-        self.messages += 1
-        self.bytes += size_bytes
+    def write(self, record: Tuple) -> None:
+        self._worker.send_frame(record)
 
-    def publish_report(self, region_id: int, report: Any) -> None:
-        self._worker.send_frame(("report", self._attempt.attempt_id, region_id, report))
-
-    @property
-    def now(self) -> float:
-        return time.perf_counter() - self._started
-
-    def receive(self, mailbox: WorkerMailbox) -> Any:
-        attempt = self._attempt
-        if mailbox.uid not in attempt.claimed:
-            # First receive on this mailbox: claim it so the coordinator replays
-            # the full message log (the fault-tolerance replay) and forwards
-            # everything that arrives from now on.
-            attempt.claimed.add(mailbox.uid)
-            self._worker.send_frame(("claim", attempt.attempt_id, mailbox.uid))
-        deadline = time.monotonic() + attempt.timeout
-        while True:
-            if attempt.abort.is_set():
-                raise _AttemptAborted()
-            message = deadline_get(
-                mailbox.queue, deadline, attempt.timeout, "cluster worker", mailbox.name
-            )
-            if isinstance(message, WakeToken):
-                continue
-            return message
-
-
-def _decode_kwargs(value: Any, attempt: _Attempt) -> Any:
-    """Turn wire mailbox refs back into claimable handles, recursing into containers."""
-    if isinstance(value, wire.MailboxRef):
-        mailbox = attempt.mailboxes.get(value.uid)
-        if mailbox is None:
-            mailbox = WorkerMailbox(value.name, value.uid)
-            attempt.mailboxes[value.uid] = mailbox
-        return mailbox
-    if isinstance(value, dict):
-        return {key: _decode_kwargs(item, attempt) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return type(value)(_decode_kwargs(item, attempt) for item in value)
-    return value
+    def next_frame(self, timeout: float) -> Optional[Tuple]:
+        try:
+            return self.frames.get(timeout=timeout)
+        except queue_module.Empty:
+            return None
 
 
 class ClusterWorker:
@@ -172,10 +93,9 @@ class ClusterWorker:
         self._rfile: Any = None
         self._wfile: Any = None
         self._send_lock = threading.Lock()
-        self._attempts: Dict[int, _Attempt] = {}
+        self._attempts: Dict[int, _SocketTransport] = {}
         self._attempts_lock = threading.Lock()
         self._shared_cache: Dict[int, Any] = {}
-        self._shared_lock = threading.Lock()
         self._stopped = threading.Event()
         self._heartbeat_thread: Optional[threading.Thread] = None
 
@@ -242,7 +162,7 @@ class ClusterWorker:
             return 1
         finally:
             self._stopped.set()
-            self._abort_all("connection closed")
+            self._abort_all()
             try:
                 self._sock.close()
             except OSError:
@@ -272,41 +192,58 @@ class ClusterWorker:
     def _handle_frame(self, frame: Any) -> bool:
         tag = frame[0]
         if tag == "job":
-            _, attempt_id, name, payload_blob, shared_blobs, timeout = frame
-            attempt = _Attempt(attempt_id, name, timeout)
+            self._start_job(*frame[1:])
+        elif tag in ("deliver", "abort"):
             with self._attempts_lock:
-                self._attempts[attempt_id] = attempt
-            attempt.thread = threading.Thread(
-                target=self._run_attempt,
-                args=(attempt, payload_blob, shared_blobs),
-                name=f"repro-worker-job-{name}",
-                daemon=True,
-            )
-            attempt.thread.start()
-            return True
-        if tag == "deliver":
-            _, attempt_id, uid, message = frame
-            with self._attempts_lock:
-                attempt = self._attempts.get(attempt_id)
-                mailbox = attempt.mailboxes.get(uid) if attempt is not None else None
-            if mailbox is not None:
-                mailbox.queue.put(message)
-            return True
-        if tag == "abort":
-            with self._attempts_lock:
-                attempt = self._attempts.get(frame[1])
-            if attempt is not None:
-                attempt.abort.set()
-                # A job asleep in a blocking receive never looks at the abort
-                # event on its own: wake every mailbox it could be blocked on.
-                for mailbox in attempt.mailboxes.values():
-                    mailbox.queue.put(WakeToken("attempt aborted"))
-            return True
-        if tag == "shutdown":
+                transport = self._attempts.get(frame[1])
+            if transport is not None:
+                transport.frames.put(frame)
+        elif tag == "shutdown":
             self._stopped.set()
-            self._abort_all("cluster shutdown")
+            self._abort_all()
             return False
-        return True  # unknown benign frame: skip (forward-compatible)
+        return True  # an unknown frame is skipped (forward-compatible)
+
+    def _start_job(self, attempt_id: int, name: str, payload: bytes,
+                   shared_blobs: Dict[int, Any], receive_timeout: float) -> None:
+        """Load the job's new bundles, then run it on a thread of its own.
+
+        Bundles load here, on the reader, in frame order: a later job frame that
+        relies on a bundle an earlier one brought finds it loaded.
+        """
+        try:
+            for key, blob in shared_blobs.items():
+                if key in self._shared_cache:
+                    continue
+                if isinstance(blob, wire.StoreRef):
+                    resolved = self._bundle_from_store(blob)
+                    if resolved is None:
+                        # The advertised blob is gone (evicted or damaged since the
+                        # handshake).  Not a body error — ask the coordinator to
+                        # re-ship real bytes and run nothing.
+                        self.send_frame(("bundle_miss", attempt_id, key, blob.digest))
+                        return
+                    blob = resolved
+                else:
+                    self._bundle_to_store(blob)
+                self._shared_cache[key] = pickle.loads(blob)
+        except Exception:  # noqa: BLE001 — shipped upstream; worker survives
+            self.send_frame(("error", attempt_id, traceback.format_exc()))
+            return
+        transport = _SocketTransport(self, attempt_id, name, receive_timeout)
+        with self._attempts_lock:
+            self._attempts[attempt_id] = transport
+        threading.Thread(
+            target=self._run_job, args=(transport, payload),
+            name=f"repro-worker-job-{name}", daemon=True,
+        ).start()
+
+    def _run_job(self, transport: _SocketTransport, payload: bytes) -> None:
+        try:
+            run_job(transport, payload, {}, self._shared_cache)
+        finally:
+            with self._attempts_lock:
+                self._attempts.pop(transport.attempt_id, None)
 
     def _bundle_from_store(self, ref: "wire.StoreRef") -> Optional[bytes]:
         """Resolve a store reference to verified blob bytes, or ``None`` (a miss).
@@ -338,55 +275,11 @@ class ClusterWorker:
         if not self.store.contains("bundle", digest):
             self.store.write("bundle", digest, blob)
 
-    def _run_attempt(self, attempt: _Attempt, payload_blob: bytes,
-                     shared_blobs: Dict[int, Any]) -> None:
-        try:
-            with self._shared_lock:
-                for key, blob in shared_blobs.items():
-                    if key in self._shared_cache:
-                        continue
-                    if isinstance(blob, wire.StoreRef):
-                        resolved = self._bundle_from_store(blob)
-                        if resolved is None:
-                            # The advertised blob is gone (evicted or damaged
-                            # since the handshake).  Not a body error — ask the
-                            # coordinator to re-ship real bytes and retire this
-                            # attempt without running anything.
-                            self.send_frame(
-                                ("bundle_miss", attempt.attempt_id, key,
-                                 blob.digest)
-                            )
-                            return
-                        blob = resolved
-                    else:
-                        self._bundle_to_store(blob)
-                    self._shared_cache[key] = pickle.loads(blob)
-            factory, encoded_kwargs, shared_keys = pickle.loads(payload_blob)
-            kwargs = _decode_kwargs(encoded_kwargs, attempt)
-            with self._shared_lock:
-                for argument, key in shared_keys.items():
-                    kwargs[argument] = self._shared_cache[key]
-            transport = _AttemptTransport(self, attempt)
-            body = factory(transport, **kwargs)
-            drive(body, transport.receive)
-            self.send_frame(
-                ("done", attempt.attempt_id, transport.messages, transport.bytes)
-            )
-        except _AttemptAborted:
-            self.send_frame(("aborted", attempt.attempt_id))
-        except BaseException:  # noqa: BLE001 — shipped upstream; worker survives
-            self.send_frame(("error", attempt.attempt_id, traceback.format_exc()))
-        finally:
-            with self._attempts_lock:
-                self._attempts.pop(attempt.attempt_id, None)
-
-    def _abort_all(self, reason: str) -> None:
+    def _abort_all(self) -> None:
         with self._attempts_lock:
-            attempts = list(self._attempts.values())
-        for attempt in attempts:
-            attempt.abort.set()
-            for mailbox in attempt.mailboxes.values():
-                mailbox.queue.put(WakeToken(reason))
+            transports = list(self._attempts.values())
+        for transport in transports:
+            transport.frames.put(("abort", transport.attempt_id))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

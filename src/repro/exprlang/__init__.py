@@ -17,7 +17,6 @@ from repro.exprlang.grammar import (
 from repro.exprlang.frontend import parse_expression, tokenize_expression
 from repro.exprlang.evaluator import (
     evaluate_expression,
-    evaluate_expression_parallel,
     random_expression_source,
 )
 
@@ -28,6 +27,5 @@ __all__ = [
     "parse_expression",
     "tokenize_expression",
     "evaluate_expression",
-    "evaluate_expression_parallel",
     "random_expression_source",
 ]

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Optional
 
-from repro.backends.base import Substrate
 from repro.evaluation.combined import CombinedEvaluator
 from repro.evaluation.dynamic import DynamicEvaluator
 from repro.evaluation.static import StaticEvaluator
@@ -40,50 +38,6 @@ def evaluate_expression(
     tree = parse_expression(source, grammar)
     _EVALUATORS[evaluator](grammar).evaluate(tree)
     return tree.get_attribute("value")
-
-
-def evaluate_expression_parallel(
-    source: str,
-    machines: int = 2,
-    evaluator: str = "combined",
-    grammar: Optional[AttributeGrammar] = None,
-    backend: Optional[str] = None,
-    substrate: Optional[Substrate] = None,
-) -> int:
-    """Deprecated: use ``repro.api.Compiler("exprlang")`` (this delegates to it).
-
-    Pass a started :class:`~repro.backends.base.Substrate` to borrow a persistent
-    worker pool, or a ``backend`` name for a one-shot run (``"simulated"`` by
-    default).  With the default grammar the call goes through the language
-    registry's shared engine (grammar analyses built once per process, bundle
-    shipped to each pooled worker once); a custom ``grammar`` builds a one-off
-    engine the old way.
-    """
-    warnings.warn(
-        "evaluate_expression_parallel is deprecated; use "
-        "repro.api.Compiler('exprlang', ...).compile(source).value "
-        "(or Session(...).compile('exprlang', source))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if grammar is None:
-        from repro.api import Compiler  # local import: repro.api builds on exprlang
-
-        return Compiler(
-            "exprlang",
-            machines=machines,
-            evaluator=evaluator,
-            backend=backend,
-            substrate=substrate,
-        ).compile(source).value
-    from repro.distributed.compiler import CompilerConfiguration, ParallelCompiler
-
-    compiler = ParallelCompiler(grammar, CompilerConfiguration(evaluator=evaluator))
-    tree = parse_expression(source, compiler.grammar)
-    report = compiler.compile_tree(
-        tree, machines, backend=backend, substrate=substrate
-    )
-    return report.root_attributes["value"]
 
 
 def random_expression_source(

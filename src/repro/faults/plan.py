@@ -35,7 +35,7 @@ point              site                                        actions understoo
 ``mailbox.send``   every substrate's send path                 drop, duplicate, delay, error
 ``mailbox.receive`` ``backends.base.apply_receive_faults``     delay, error
 ``worker.spawn``   ``ProcessesSubstrate._fork_worker_locked``  error
-``worker.crash``   pooled process job / threads ``Receive``    crash (child ``os._exit``), error
+``worker.crash``   worker job ``Receive`` / threads ``Receive`` crash (child ``os._exit``), error
 ``wire.send`` / ``wire.recv`` ``cluster.wire`` frame codec     corrupt, truncate, delay, error
 ``cache.get``      ``incremental.cache.ArtifactCache.get``     poison (forced miss), error
 ``server.request`` ``server.app`` request dispatch             stall (delay), error

@@ -1,19 +1,13 @@
-"""High-level Pascal compilation entry points (sequential and simulated-parallel)."""
+"""Sequential Pascal compilation; ``repro.api.Compiler("pascal")`` compiles in parallel."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict, Optional, Tuple
 
 from repro.analysis.visit_sequences import OrderedEvaluationPlan, build_evaluation_plan
-from repro.backends import Substrate
-from repro.distributed.compiler import (
-    CompilationReport,
-    CompilerConfiguration,
-    ParallelCompiler,
-)
+from repro.distributed.compiler import CompilerConfiguration
 from repro.evaluation.base import EvaluationStatistics
 from repro.evaluation.combined import CombinedEvaluator
 from repro.evaluation.dynamic import DynamicEvaluator
@@ -97,72 +91,4 @@ class PascalCompiler:
             errors=tuple(tree.get_attribute("errs")),
             statistics=statistics,
             tree_nodes=tree_statistics(tree).node_count,
-        )
-
-    # ---------------------------------------------------------------- parallel
-
-    def compile_parallel(
-        self,
-        source: str,
-        machines: int,
-        configuration: Optional[CompilerConfiguration] = None,
-        backend: Optional[str] = None,
-        substrate: Optional[Substrate] = None,
-    ) -> CompilationReport:
-        """Deprecated: use ``repro.api.Compiler("pascal")`` (this delegates to it).
-
-        ``backend`` selects a one-shot substrate (``"simulated"`` by default, or
-        ``"threads"``/``"processes"`` for real concurrency); pass a started
-        ``substrate`` instead to borrow a persistent worker pool and skip the
-        per-compilation spawn cost.  Returns the full :class:`CompilationReport`
-        (timings, timeline, decomposition, message statistics and the generated code).
-        """
-        warnings.warn(
-            "PascalCompiler.compile_parallel is deprecated; use "
-            "repro.api.Compiler('pascal', ...).compile(source) "
-            "(or Session(...).compiler('pascal'))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._facade(configuration, backend, substrate, machines).compile(
-            source
-        ).report
-
-    def compile_tree_parallel(
-        self,
-        tree: ParseTreeNode,
-        machines: int,
-        configuration: Optional[CompilerConfiguration] = None,
-        backend: Optional[str] = None,
-        substrate: Optional[Substrate] = None,
-    ) -> CompilationReport:
-        """Deprecated: like :meth:`compile_parallel` but for an already-parsed tree
-        (useful when sweeping machine counts over one program, as the figures do);
-        use ``repro.api.Compiler("pascal").compile_tree(tree)`` instead."""
-        warnings.warn(
-            "PascalCompiler.compile_tree_parallel is deprecated; use "
-            "repro.api.Compiler('pascal', ...).compile_tree(tree)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._facade(configuration, backend, substrate, machines).compile_tree(
-            tree
-        ).report
-
-    def _facade(
-        self,
-        configuration: Optional[CompilerConfiguration],
-        backend: Optional[str],
-        substrate: Optional[Substrate],
-        machines: int,
-    ):
-        """The front-door :class:`repro.api.Compiler` these shims delegate to."""
-        from repro.api import Compiler  # local import: repro.api builds on this module
-
-        return Compiler(
-            "pascal",
-            machines=machines,
-            backend=backend,
-            substrate=substrate,
-            configuration=configuration or self.configuration,
         )

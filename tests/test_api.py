@@ -1,16 +1,15 @@
-"""Tests for the ``repro.api`` front door: registry, Compiler, Session, shims.
+"""Tests for the ``repro.api`` front door: registry, Compiler, Session.
 
 Covers the language registry (duplicate/unknown names, custom registration), the
 uniform ``Compiler``/``CompileResult`` facade, mixed-language service streams with
-parity across all four substrates, equivalence of the deprecated per-workload
-entry points with the new API, idempotent Session/Substrate teardown, and the
+parity across all four substrates, idempotent Session/Substrate teardown, and the
 per-phase (parse vs compile) wall-clock decomposition.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import warnings
+import threading
 
 import pytest
 
@@ -32,7 +31,7 @@ from repro.api.language import engine_for, unregister_language
 from repro.backends import SharedBundle, create_substrate
 from repro.exprlang import random_expression_source
 from repro.parsing import Lexer, TokenSpec
-from repro.pascal import PascalCompiler, generate_program
+from repro.pascal import generate_program
 
 
 def _fork_available() -> bool:
@@ -241,15 +240,12 @@ class TestMixedLanguageService:
             procedures=2, statements_per_procedure=2, seed=5
         )
 
-        # The old per-workload entry points (simulated one-shot) are the baseline.
-        pascal = PascalCompiler()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            expected_code = pascal.compile_parallel(pascal_source, 3).code_text("code")
-            expected_values = [
-                repro.evaluate_expression_parallel(source, machines=2)
-                for source in expr_sources
-            ]
+        # Simulated one-shot compiles, one language at a time, are the baseline.
+        expected_code = Compiler("pascal", machines=3).compile(pascal_source).value
+        expected_values = [
+            Compiler("exprlang", machines=2, evaluator="combined").compile(source).value
+            for source in expr_sources
+        ]
 
         jobs = [
             CompilationJob(language="exprlang", source=source, machines=2)
@@ -283,44 +279,6 @@ class TestMixedLanguageService:
         assert resolved_tree is tree
 
 
-# ----------------------------------------------------------- deprecation shims
-
-
-class TestDeprecationShims:
-    def test_compile_parallel_warns_and_matches_new_api(self):
-        source = generate_program(procedures=2, statements_per_procedure=2, seed=9)
-        pascal = PascalCompiler()
-        with pytest.warns(DeprecationWarning):
-            old = pascal.compile_parallel(source, 3)
-        new = Compiler("pascal", machines=3).compile(source)
-        assert old.code_text("code") == new.value
-        assert tuple(old.root_attributes["errs"]) == new.errors
-
-    def test_compile_tree_parallel_warns_and_matches_new_api(self):
-        source = generate_program(procedures=2, statements_per_procedure=2, seed=9)
-        pascal = PascalCompiler()
-        tree = pascal.parse(source)
-        with pytest.warns(DeprecationWarning):
-            old = pascal.compile_tree_parallel(tree, 2)
-        new = Compiler("pascal", machines=2).compile_tree(pascal.parse(source))
-        assert old.code_text("code") == new.value
-
-    def test_evaluate_expression_parallel_warns_and_matches_new_api(self):
-        with pytest.warns(DeprecationWarning):
-            old = repro.evaluate_expression_parallel(EXPR_SOURCE, machines=2)
-        assert old == Compiler("exprlang").compile(EXPR_SOURCE).value == 7
-
-    def test_shim_honours_custom_grammar(self):
-        from repro.exprlang.grammar import expression_grammar
-
-        grammar = expression_grammar(min_split_size=8)
-        with pytest.warns(DeprecationWarning):
-            value = repro.evaluate_expression_parallel(
-                EXPR_SOURCE, machines=2, grammar=grammar
-            )
-        assert value == 7
-
-
 # ------------------------------------------------------------ session lifecycle
 
 
@@ -349,6 +307,26 @@ class TestSessionLifecycle:
                 assert again.compile("exprlang", EXPR_SOURCE).value == 7
         finally:
             pool.shutdown()
+
+    def test_store_backed_session_lends_its_cache_to_its_service(self, tmp_path):
+        """The service of a session with a store reads and warms that store; closing
+        the session, not the service, retires the store's writer thread."""
+        source = generate_program(procedures=4, statements_per_procedure=2, seed=1)
+        job = CompilationJob(language="pascal", source=source, machines=4)
+        stats = []
+        for _ in range(2):
+            with Session(backend="threads", machines=4, store=tmp_path) as session:
+                with session.service() as service:
+                    service.submit(job).result(timeout=TIMEOUT)
+                    stats.append(service.stats())
+        cold, warm = stats
+        assert cold.region_cache_misses > 0 and cold.store_hits == 0
+        # A fresh process-level cache: only the store can serve these keys.
+        assert warm.store_hits > 0
+        assert not [
+            thread.name for thread in threading.enumerate()
+            if thread.name == "repro-artifact-store-writer"
+        ]
 
     @pytest.mark.parametrize("name", ALL_SUBSTRATES)
     def test_substrate_close_is_shutdown_and_idempotent(self, name):
@@ -418,7 +396,7 @@ class TestNameKeyedBundles:
                 compiler = Compiler("exprlang", substrate=pool)
                 assert compiler.compile(source).value is not None
             named = [
-                ident for ident in pool._shared_ids if ident and ident[0] == "named"
+                ident for ident in pool._bundles.ids if ident and ident[0] == "named"
             ]
             assert len(named) == 1
 

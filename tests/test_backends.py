@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.api import Compiler
 from repro.backends import BACKEND_NAMES, BackendError, ProcessesSubstrate, create_backend
 from repro.backends.base import Compute, Receive, WorkerJob
 from repro.distributed.compiler import CompilerConfiguration, ParallelCompiler
@@ -95,9 +96,9 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("backend", REAL_BACKENDS)
     def test_pascal_code_byte_identical(self, pascal_setup, backend):
-        compiler, tree = pascal_setup
-        simulated = compiler.compile_tree_parallel(tree, 4)
-        real = compiler.compile_tree_parallel(tree, 4, backend=backend)
+        _, tree = pascal_setup
+        simulated = Compiler("pascal", machines=4).compile_tree(tree).report
+        real = Compiler("pascal", machines=4, backend=backend).compile_tree(tree).report
         assert real.code_text("code") == simulated.code_text("code")
         assert real.root_attributes["errs"] == simulated.root_attributes["errs"]
         assert set(real.root_attributes) == set(simulated.root_attributes)
@@ -270,8 +271,10 @@ class TestProcessesPlacement:
         from repro.experiments.workload import default_workload
 
         workload = default_workload()
-        simulated = workload.compiler.compile_tree_parallel(workload.tree, 4)
-        real = workload.compiler.compile_tree_parallel(workload.tree, 4, backend="processes")
+        simulated = Compiler("pascal", machines=4).compile_tree(workload.tree).report
+        real = Compiler(
+            "pascal", machines=4, backend="processes"
+        ).compile_tree(workload.tree).report
         assert real.worker_count >= 4
         assert real.code_text("code") == simulated.code_text("code")
         assert real.wall_evaluation_seconds > 0
@@ -758,8 +761,8 @@ class TestPreparedPool:
         with Session(backend="processes", machines=4) as session:
             pool = session.substrate
             pickled = []
-            ship = pool._shared_blob
-            pool._shared_blob = lambda key: pickled.append(key) or ship(key)
+            ship = pool._bundles.blob
+            pool._bundles.blob = lambda key: pickled.append(key) or ship(key)
             compiler = session.compiler("pascal")
             engine = compiler.engine
             assert engine.grammar in plan_compiler._rules_cache
@@ -787,8 +790,8 @@ class TestPreparedPool:
         with CompilationService("processes") as service:
             pool = service.substrate
             pickled = []
-            ship = pool._shared_blob
-            pool._shared_blob = lambda key: pickled.append(key) or ship(key)
+            ship = pool._bundles.blob
+            pool._bundles.blob = lambda key: pickled.append(key) or ship(key)
             report = service.submit(job).result()
         assert report.worker_count > 1
         assert pickled == []

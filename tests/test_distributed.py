@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Compiler
 from repro.distributed.compiler import CompilerConfiguration, ParallelCompiler
 from repro.distributed.unique_ids import (
     UniqueIdGenerator,
@@ -138,12 +139,14 @@ class TestLibrarianProtocol:
         compiler = PascalCompiler()
         source = generate_program(procedures=10, statements_per_procedure=3, seed=3)
         tree = compiler.parse(source)
-        with_librarian = compiler.compile_tree_parallel(
-            tree, 3, CompilerConfiguration(evaluator="combined", use_librarian=True)
-        )
-        without_librarian = compiler.compile_tree_parallel(
-            tree, 3, CompilerConfiguration(evaluator="combined", use_librarian=False)
-        )
+        with_librarian = Compiler(
+            "pascal", machines=3,
+            configuration=CompilerConfiguration(evaluator="combined", use_librarian=True),
+        ).compile_tree(tree).report
+        without_librarian = Compiler(
+            "pascal", machines=3,
+            configuration=CompilerConfiguration(evaluator="combined", use_librarian=False),
+        ).compile_tree(tree).report
         assert with_librarian.use_librarian
         assert not without_librarian.use_librarian
         assert with_librarian.network_bytes < without_librarian.network_bytes
@@ -156,12 +159,12 @@ class TestLibrarianProtocol:
         compiler = PascalCompiler()
         source = generate_program(procedures=8, statements_per_procedure=3, seed=5)
         tree = compiler.parse(source)
-        sequential = compiler.compile_tree_parallel(
-            tree, 1, CompilerConfiguration(evaluator="combined")
-        )
-        parallel = compiler.compile_tree_parallel(
-            tree, 4, CompilerConfiguration(evaluator="combined")
-        )
+        sequential = Compiler(
+            "pascal", machines=1, configuration=CompilerConfiguration(evaluator="combined")
+        ).compile_tree(tree).report
+        parallel = Compiler(
+            "pascal", machines=4, configuration=CompilerConfiguration(evaluator="combined")
+        ).compile_tree(tree).report
         assert parallel.code_text("code").count("\n") == sequential.code_text("code").count("\n")
         assert parallel.root_attributes["errs"] == sequential.root_attributes["errs"]
 

@@ -459,7 +459,7 @@ class TestProcessesCrashRecovery:
                 while victim_pid is None and time.monotonic() < patience:
                     with pool._lock:
                         for worker in pool._workers:
-                            if worker.inflight is not None and worker.process.is_alive():
+                            if worker.attempts and worker.process.is_alive():
                                 victim_pid = worker.process.pid
                                 break
                     time.sleep(0.005)

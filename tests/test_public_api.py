@@ -61,7 +61,6 @@ EXPECTED_REPRO_ALL = sorted([
     "st_lookup",
     # legacy expression-language entry points (deprecated shims included)
     "evaluate_expression",
-    "evaluate_expression_parallel",
     "expression_grammar",
     "parse_expression",
     # the repro.api front door

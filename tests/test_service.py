@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.api import Compiler
 from repro.backends import (
     BACKEND_NAMES,
     BackendError,
@@ -27,7 +28,6 @@ from repro.backends.base import Compute, Receive, WorkerJob
 from repro.distributed.compiler import ParallelCompiler
 from repro.exprlang import (
     evaluate_expression,
-    evaluate_expression_parallel,
     parse_expression,
     random_expression_source,
 )
@@ -128,18 +128,19 @@ class TestPoolReuse:
         compiler = PascalCompiler()
         source = generate_program(procedures=8, statements_per_procedure=3, seed=3)
         tree = compiler.parse(source)
-        reference = compiler.compile_tree_parallel(tree, 4)
+        reference = Compiler("pascal", machines=4).compile_tree(tree).report
         with create_substrate("processes", receive_timeout=TIMEOUT) as pool:
-            first = compiler.compile_tree_parallel(tree, 4, substrate=pool)
-            second = compiler.compile_tree_parallel(tree, 4, substrate=pool)
+            pooled = Compiler("pascal", machines=4, substrate=pool)
+            first = pooled.compile_tree(tree).report
+            second = pooled.compile_tree(tree).report
         assert first.code_text("code") == reference.code_text("code")
         assert second.code_text("code") == reference.code_text("code")
 
     def test_exprlang_thin_client(self):
         with create_substrate("threads", receive_timeout=TIMEOUT) as pool:
-            value = evaluate_expression_parallel(
-                "let x = 3 in 1 + 2 * x ni", substrate=pool
-            )
+            value = Compiler("exprlang", evaluator="combined", substrate=pool).compile(
+                "let x = 3 in 1 + 2 * x ni"
+            ).value
         assert value == 7
 
 
