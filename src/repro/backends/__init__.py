@@ -2,10 +2,11 @@
 
 Four implementations of the same :class:`~repro.backends.base.Backend` interface:
 
-* ``"simulated"`` — the paper's modelled network multiprocessor (deterministic
-  discrete-event simulation, simulated seconds);
-* ``"threads"`` — the simulator's kernel on a wall clock: a session's bodies run
-  cooperatively on the calling thread, with ``Store`` mailboxes;
+* ``"simulated"`` and ``"threads"`` — one in-process kernel substrate
+  (:mod:`repro.backends.kernel`): a session's bodies run cooperatively on the calling
+  thread, with simulator ``Store`` mailboxes.  ``simulated`` clocks it with the
+  paper's modelled network multiprocessor (deterministic simulated seconds),
+  ``threads`` with the wall clock;
 * ``"processes"`` — forked OS processes with picklable protocol messages over
   pipes (coordinator mailboxes stay in-process queues);
 * ``"sockets"`` — separate worker host processes over TCP (loopback by default,
@@ -39,9 +40,8 @@ from repro.backends.base import (
     Substrate,
     WorkerJob,
 )
+from repro.backends.kernel import SimulatedSubstrate, ThreadsSubstrate
 from repro.backends.processes import ProcessesSubstrate
-from repro.backends.simulated import SimulatedSession, SimulatedSubstrate
-from repro.backends.threads import ThreadsSubstrate
 from repro.runtime.cost import CostModel
 from repro.runtime.network import NetworkParameters
 
@@ -62,8 +62,8 @@ def create_backend(
     The substrate is started here and shut down when the session's ``run()`` returns
     or raises, or on ``close()``.  ``machines``/``network``/``cost_model``/
     ``machine_speeds`` parameterise the simulated cluster and are ignored by the real
-    substrates; ``receive_timeout`` bounds blocking receives on the real substrates and
-    is ignored by the simulator.
+    substrates; ``receive_timeout`` bounds blocking receives on every substrate (on
+    ``simulated`` and ``threads``, the session's wall clock).
     """
     substrate = create_substrate(
         name,
@@ -93,7 +93,10 @@ def create_substrate(
     """
     if name == "simulated":
         return SimulatedSubstrate(
-            network=network, cost_model=cost_model, machine_speeds=machine_speeds
+            network=network,
+            cost_model=cost_model,
+            machine_speeds=machine_speeds,
+            receive_timeout=receive_timeout,
         )
     if name == "threads":
         return ThreadsSubstrate(receive_timeout=receive_timeout)
@@ -128,7 +131,6 @@ __all__ = [
     "ProcessesSubstrate",
     "Receive",
     "SharedBundle",
-    "SimulatedSession",
     "SimulatedSubstrate",
     "SocketsSubstrate",
     "Substrate",

@@ -5,15 +5,17 @@ once as *request generators*: plain Python generators that yield :class:`Compute
 :class:`Receive` requests and call :meth:`Backend.send` / :meth:`Backend.publish_report`
 directly.  A backend decides what those requests mean:
 
-* the **simulated** backend translates them into discrete-event simulator operations
-  (CPU occupancy on a modelled machine, blocking mailbox reads) and charges modelled
-  time — this is the paper-faithful substrate every figure is measured on;
-* the **threads**, **processes** and **sockets** backends execute the very same
-  generators on real wall-clock time: the real CPU work happens inline between
-  yields, so a :class:`Compute` request resumes immediately (its modelled cost is
-  ignored).  On ``threads`` a :class:`Receive` parks the body in the simulator's
-  kernel, run cooperatively on the calling thread; on ``processes`` and ``sockets``
-  it is a genuine blocking read from the mailbox's queue or pipe.
+* **simulated** and **threads** are one substrate (:mod:`repro.backends.kernel`):
+  every body is a process of the simulator's kernel, run cooperatively on the calling
+  thread, and a :class:`Receive` parks it on a simulator ``Store``.  On
+  ``simulated`` a modelled cluster is the clock: a :class:`Compute` occupies a
+  modelled machine's CPU and sends charge modelled network time — this is the
+  paper-faithful substrate every figure is measured on.  On ``threads`` the clock is
+  the wall clock and a :class:`Compute` resumes at once;
+* the **processes** and **sockets** backends execute the very same generators on
+  real wall-clock time: the real CPU work happens inline between yields, so a
+  :class:`Compute` request resumes immediately (its modelled cost is ignored), and a
+  :class:`Receive` is a genuine blocking read from the mailbox's queue or pipe.
 
 Because the process bodies never import a substrate directly, the coordinator,
 evaluator and librarian logic exists exactly once and every backend runs the identical
@@ -78,9 +80,10 @@ class Receive:
 class Mailbox:
     """A named FIFO channel owned by one receiving process.
 
-    Concrete backends attach their own transport handle (a simulator ``Store``) or,
-    on the substrates with worker processes, a number within the session and the log
-    that replays the mailbox to whoever reads it (:mod:`repro.backends.routing`).
+    The in-process kernel uses a simulator ``Store`` (which has a ``name`` too) as its
+    mailbox; the substrates with worker processes attach a number within the session
+    and the log that replays the mailbox to whoever reads it
+    (:mod:`repro.backends.routing`).
     """
 
     __slots__ = ("name",)

@@ -524,8 +524,9 @@ class TestBackendRobustness:
         # Well under the 30s receive bound.
         assert time_module.monotonic() - started < 5
 
-    def test_threads_backend_surfaces_worker_failure(self):
-        backend = create_backend("threads", machines=1, receive_timeout=5)
+    @pytest.mark.parametrize("kernel", ["simulated", "threads"])
+    def test_kernel_surfaces_worker_failure(self, kernel):
+        backend = create_backend(kernel, machines=1, receive_timeout=5)
 
         def failing_body():
             raise RuntimeError("boom")
@@ -535,9 +536,10 @@ class TestBackendRobustness:
         with pytest.raises(BackendError, match="bad-worker"):
             backend.run()
 
-    def test_threads_backend_receive_times_out(self):
+    @pytest.mark.parametrize("kernel", ["simulated", "threads"])
+    def test_kernel_receive_times_out(self, kernel):
         """The bound is the session's wall clock, checked as a body resumes at a Receive."""
-        backend = create_backend("threads", machines=1, receive_timeout=0.2)
+        backend = create_backend(kernel, machines=1, receive_timeout=0.2)
         mailbox = backend.mailbox("late")
 
         def waiting_body():
@@ -553,8 +555,9 @@ class TestBackendRobustness:
         with pytest.raises(BackendError, match="waiter.*timed out"):
             backend.run()
 
-    def test_threads_deadlock_is_found_not_timed_out(self):
-        backend = create_backend("threads", machines=1, receive_timeout=60)
+    @pytest.mark.parametrize("kernel", ["simulated", "threads"])
+    def test_kernel_deadlock_is_found_not_timed_out(self, kernel):
+        backend = create_backend(kernel, machines=1, receive_timeout=60)
         mailbox = backend.mailbox("never-written")
 
         def waiting_body():
@@ -567,6 +570,25 @@ class TestBackendRobustness:
         ):
             backend.run()
         assert time.monotonic() - started < 0.5
+
+    @pytest.mark.parametrize("kernel", ["simulated", "threads"])
+    def test_kernel_unwinds_parked_bodies_at_deadlock(self, kernel):
+        """A body parked when the kernel deadlocks has run its ``finally`` by the raise."""
+        backend = create_backend(kernel, machines=1)
+        mailbox = backend.mailbox("never-written")
+        unwound = []
+
+        def parked_body():
+            try:
+                yield Receive(mailbox)
+            finally:
+                unwound.append("parked")
+
+        body = parked_body()  # held here too, so only an explicit unwind runs the finally
+        backend.spawn(body, name="parked")
+        with pytest.raises(BackendError, match="deadlocked.*parked"):
+            backend.run()
+        assert unwound == ["parked"]
 
     def test_threads_compile_starts_no_thread(self, split_grammar, big_expression, monkeypatch):
         """Every body runs on the thread that called run(); none is started."""
@@ -736,7 +758,7 @@ class TestOneShotLifecycle:
                     f"{machine}|{interval.start.hex()}|{interval.end.hex()}|"
                     f"{interval.kind.value}|{interval.label}\n".encode()
                 )
-        # A one-shot simulated compile is a session of a fresh SimulatedSubstrate;
+        # A one-shot simulated compile is a kernel session on a fresh modelled cluster;
         # its finish time and Figure 6 timeline are pinned to the last bit.
         assert report.evaluation_time.hex() == "0x1.f00965da4f6c7p-1"
         assert report.network_busy_time.hex() == "0x1.fb465cdba3296p-5"

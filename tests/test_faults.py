@@ -315,6 +315,39 @@ class TestChaosMatrix:
         assert inc_report.regions_evaluated >= 1  # ...and recompiled around
 
 
+class TestKernelFaultPoints:
+    """Both clocks of the in-process kernel fire the same fault points, once, typed.
+
+    The first ``Receive`` is evaluator 0's and the first send ships region ``b``
+    to evaluator 1, so each fault lands on a named body of a Pascal compile.
+    """
+
+    EXPECTED = {
+        "crash": (FaultRule("worker.crash", action="crash", times=1),
+                  r"worker 'evaluator-0' failed: .*worker\.crash"),
+        "drop": (FaultRule("mailbox.send", action="drop", times=1),
+                 r"deadlocked; unfinished processes: .*"
+                 r"evaluator-1 \(waiting on 'evaluator-1\.mailbox'\)"),
+        "duplicate": (FaultRule("mailbox.send", action="duplicate", times=1),
+                      r"worker 'evaluator-1' failed: evaluator 1 received "
+                      r"unexpected message"),
+    }
+
+    @pytest.mark.parametrize("kernel", ["simulated", "threads"])
+    @pytest.mark.parametrize("fault", sorted(EXPECTED))
+    def test_fault_fires_once_and_fails_typed(self, kernel, fault):
+        from repro.api import Compiler
+        from repro.pascal.programs import generate_program
+
+        rule, message = self.EXPECTED[fault]
+        plan = FaultPlan(seed=1, rules=[rule])
+        source = generate_program(procedures=6, statements_per_procedure=2)
+        compiler = Compiler("pascal", machines=3, backend=kernel)
+        with faults.active(plan), pytest.raises(BackendError, match=message):
+            compiler.compile(source)
+        assert plan.injected == 1
+
+
 # ------------------------------------------------------- targeted: crash-proofing
 
 
